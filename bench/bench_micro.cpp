@@ -17,8 +17,8 @@
 #include "core/rate_rule.hpp"
 #include "graph/topologies.hpp"
 #include "lowerbound/shifting.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/hardware_clock.hpp"
+#include "sim/ladder_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 
@@ -32,7 +32,7 @@ void BM_EventQueuePushPop(benchmark::State& state) {
   std::vector<double> times(n);
   for (auto& t : times) t = rng.uniform(0.0, 1000.0);
   for (auto _ : state) {
-    sim::EventQueue q;
+    sim::LadderQueue q;
     for (const double t : times) {
       sim::Event e;
       e.time = t;

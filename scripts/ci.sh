@@ -25,8 +25,8 @@
 #      window-stall and tree-partition regressions).
 #   5. Churn determinism smoke: smoke_churn.sh — a dynamic-network run
 #      (node joins/leaves + edge churn through the kllo node) must be
-#      byte-identical serial vs --shards {1,2,4}, heap vs ladder, and
-#      --jobs 1 vs 4 through a churned sweep.
+#      byte-identical serial vs --shards {1,2,4} and --jobs 1 vs 4
+#      through a churned sweep.
 #   6. Fault-tolerant GCS smoke: smoke_ftgcs.sh — a Byzantine chaos plan
 #      through --algo ftgcs must be byte-identical serial vs --shards
 #      {1,2,4}, report engine-independent fault.* metrics, stabilize in
@@ -34,12 +34,15 @@
 #   7. Telemetry-backend smoke: smoke_obs.sh — the stair history backend
 #      must stay within its advertised error bound of exact, perturb the
 #      execution by zero bytes, report engine-invariant sketch figures
-#      serial vs --shards 4, sweep --jobs 1 == 4 with the sketch columns,
-#      and honor the --skew-stride deprecation.
-#   8. Large-n queue gate: smoke_bench.sh with SMOKE_BENCH_LARGE=1,
-#      which fails if the ladder queue is < 1.2x the heap on the serial
-#      line n=100000 config (and re-checks the small-n geomean so the
-#      ladder can't buy large-n throughput with a small-n regression).
+#      serial vs --shards 4, and sweep --jobs 1 == 4 with the sketch
+#      columns.
+#   8. Large-n queue gate: tests/queue_race fails if the ladder queue is
+#      < 1.2x the reference 4-ary heap on a hold workload sized like the
+#      serial line n=100000 run (~300k queued events); smoke_bench.sh
+#      then re-checks the small-n geomean, so the ladder can't buy
+#      large-n throughput with a small-n regression.
+#   9. Benchmark self-test: perfbench/run.py --selftest builds the
+#      benchmark binary and runs its own C++ and Python tests.
 #
 # Usage: scripts/ci.sh [jobs]     (default: nproc)
 set -euo pipefail
@@ -103,8 +106,12 @@ bash scripts/smoke_obs.sh \
 
 echo
 echo "=== large-n queue gate ==="
-SMOKE_BENCH_LARGE=1 bash scripts/smoke_bench.sh \
-  build/bench/bench_core_hotpath BENCH_pr2.json
+build/tests/queue_race
+bash scripts/smoke_bench.sh build/bench/bench_core_hotpath BENCH_pr2.json
+
+echo
+echo "=== benchmark self-test ==="
+python3 perfbench/run.py --selftest
 
 echo
 echo "ci.sh: all green"

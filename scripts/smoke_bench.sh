@@ -13,12 +13,8 @@
 #      smooths the run-to-run noise of the ~10ms quick configs, which a
 #      per-config gate would trip on.
 #
-# With SMOKE_BENCH_LARGE=1 it additionally runs the large-n serial gate:
-# line n=100000, --shards 0, heap vs ladder in one process.  The ladder
-# queue must be >= 1.2x the heap — that is the whole point of the bucket
-# queue, and the within-process ratio is machine-speed independent.  The
-# small-n geomean gate above still runs, so the ladder can never buy
-# large-n throughput by regressing the small-n configs.
+# The large-n queue gate (ladder >= 1.2x the reference heap) lives in the
+# queue_race test binary; scripts/ci.sh runs it next to this script.
 #
 # Usage: smoke_bench.sh /path/to/bench_core_hotpath [baseline.json]
 set -euo pipefail
@@ -54,30 +50,6 @@ EOF
 }
 
 validate "$TMPDIR_SMOKE/quick.json"
-
-if [[ "${SMOKE_BENCH_LARGE:-0}" == "1" ]]; then
-  echo "smoke_bench: large-n serial gate (line n=100000, heap vs ladder)"
-  "$BENCH_BIN" --shards 0 --queue heap,ladder --filter line_n100000 \
-    --out "$TMPDIR_SMOKE/large.json" --label smoke-large \
-    > "$TMPDIR_SMOKE/large.log"
-  validate "$TMPDIR_SMOKE/large.json"
-  python3 - "$TMPDIR_SMOKE/large.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-eps = {r["name"]: r["events_per_sec"] for r in doc["results"]
-       if "events_per_sec" in r}
-heap = eps.get("line_n100000_shards0_incremental_qheap")
-ladder = eps.get("line_n100000_shards0_incremental_qladder")
-assert heap and ladder, f"missing large-n rows, got: {sorted(eps)}"
-ratio = ladder / heap
-print(f"line n=100000 serial: ladder {ladder:,.0f} ev/s"
-      f" vs heap {heap:,.0f} ev/s ({ratio:.2f}x)")
-if ratio < 1.2:
-    sys.exit("FAIL: ladder < 1.2x heap at n=100000 (large-n hot path)")
-print("smoke_bench: large-n ladder gate OK")
-EOF
-fi
 
 if [[ -z "$BASELINE" || ! -f "$BASELINE" ]]; then
   echo "smoke_bench: OK (no checked-in baseline to regress against)"

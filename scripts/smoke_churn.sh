@@ -14,12 +14,13 @@
 #   2. --shards 1 vs 2 vs 4: record, stats JSON (engine/queue_impl
 #      stripped), and trace dump byte-identical — including the
 #      watermark-triggered repartitions the churn driver performs.
-#   3. --queue heap vs ladder (serial and --shards 2): byte-identical
-#      again; churn's pre-scheduled timeline is exactly the load that
-#      would expose a tie-break divergence between the queues.
-#   4. tbcs_sweep with churn flags: --jobs 1 == --jobs 4 byte-for-byte.
-#   5. Sanity: the runs actually churned (joins, leaves, and edge
+#   3. tbcs_sweep with churn flags: --jobs 1 == --jobs 4 byte-for-byte.
+#   4. Sanity: the runs actually churned (joins, leaves, and edge
 #      insertions all nonzero in the stats).
+#
+# That the event queue replays the retired heap queue's churned runs is
+# pinned by digest in tests/dyn/test_churn_equivalence.cpp
+# (ChurnEquivalenceQueues.HeapAndLadderAgree).
 #
 # Usage: smoke_churn.sh /path/to/tbcs_sim /path/to/tbcs_trace /path/to/tbcs_sweep
 set -euo pipefail
@@ -80,23 +81,7 @@ for n in 2 4; do
     || { echo "FAIL: trace --shards 1 != --shards $n"; exit 1; }
 done
 
-# Gate 3: queue implementations agree, serial and sharded.
-run_sim 0 serial-heap --queue heap
-run_sim 0 serial-ladder --queue ladder
-cmp "$TMPDIR_SMOKE/serial-heap.rec" "$TMPDIR_SMOKE/serial-ladder.rec" \
-  || { echo "FAIL: rec heap != ladder (serial)"; exit 1; }
-cmp <(canon_stats "$TMPDIR_SMOKE/serial-heap.stats") \
-    <(canon_stats "$TMPDIR_SMOKE/serial-ladder.stats") \
-  || { echo "FAIL: stats heap != ladder (serial)"; exit 1; }
-run_sim 2 s2-heap --queue heap
-run_sim 2 s2-ladder --queue ladder
-cmp "$TMPDIR_SMOKE/s2-heap.rec" "$TMPDIR_SMOKE/s2-ladder.rec" \
-  || { echo "FAIL: rec heap != ladder (--shards 2)"; exit 1; }
-cmp <(canon_stats "$TMPDIR_SMOKE/s2-heap.stats") \
-    <(canon_stats "$TMPDIR_SMOKE/s2-ladder.stats") \
-  || { echo "FAIL: stats heap != ladder (--shards 2)"; exit 1; }
-
-# Gate 4: the parallel sweep stays deterministic with churn flags on.
+# Gate 3: the parallel sweep stays deterministic with churn flags on.
 SWEEP_ARGS=(--topology ring --nodes 12 --algo kllo --delays band
             --param eps --values 0.01,0.02 --replicas 2
             --duration 80 --seed 7 --wake-all
@@ -107,11 +92,11 @@ SWEEP_ARGS=(--topology ring --nodes 12 --algo kllo --delays band
 cmp "$TMPDIR_SMOKE/sweep1.csv" "$TMPDIR_SMOKE/sweep4.csv" \
   || { echo "FAIL: churned sweep --jobs 1 != --jobs 4"; exit 1; }
 
-# Gate 5: the runs actually churned.
+# Gate 4: the runs actually churned.
 for key in '"churn.joins": [1-9]' '"churn.leaves": [1-9]' \
            '"churn.edge_insertions": [1-9]'; do
   grep -q "$key" "$TMPDIR_SMOKE/serial.stats" \
     || { echo "FAIL: stats missing churn activity ($key)"; exit 1; }
 done
 
-echo "smoke_churn: OK (serial == shards 1/2/4, heap == ladder, jobs 1 == 4)"
+echo "smoke_churn: OK (serial == shards 1/2/4, jobs 1 == 4)"

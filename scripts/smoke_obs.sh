@@ -18,8 +18,6 @@
 #      the exact-backend header stays unchanged.
 #   5. Trace timeline: tbcs_trace --summary --obs-backend stair appends a
 #      bounded-memory event-rate timeline to the dump summary.
-#   6. Deprecation: --skew-stride warns and is ignored under the stair
-#      backend (the sketch subsumes it).
 #
 # Usage: smoke_obs.sh /path/to/tbcs_sim /path/to/tbcs_trace /path/to/tbcs_sweep
 set -euo pipefail
@@ -118,17 +116,4 @@ esac
 grep -q "timeline (stair backend)" "$TMPDIR_SMOKE/trace-summary.out" \
   || { echo "FAIL: no stair timeline in tbcs_trace --summary"; exit 1; }
 
-# Gate 6: --skew-stride is deprecated and ignored under stair (and the
-# run must still match the stride-free stair run byte-for-byte).
-run_sim stair 0 stair-stride --skew-stride 8
-grep -q "deprecated" "$TMPDIR_SMOKE/stair-stride.err" \
-  || { echo "FAIL: no deprecation warning for --skew-stride"; exit 1; }
-grep -q "ignored with --obs-backend" "$TMPDIR_SMOKE/stair-stride.err" \
-  || { echo "FAIL: no stride-ignored warning under stair"; exit 1; }
-cmp "$TMPDIR_SMOKE/stair.rec" "$TMPDIR_SMOKE/stair-stride.rec" \
-  || { echo "FAIL: --skew-stride changed a stair execution"; exit 1; }
-cmp <(grep -v '^wrote ' "$TMPDIR_SMOKE/stair.out") \
-    <(grep -v '^wrote ' "$TMPDIR_SMOKE/stair-stride.out") \
-  || { echo "FAIL: --skew-stride changed a stair summary"; exit 1; }
-
-echo "smoke_obs: OK (bound, observer-only, engine-invariant, sweep, timeline, deprecation)"
+echo "smoke_obs: OK (bound, observer-only, engine-invariant, sweep, timeline)"

@@ -34,7 +34,7 @@ CommunicationReport operator-(const CommunicationReport& late,
 
 QueueReport QueueReport::capture(const sim::Simulator& sim) {
   QueueReport r;
-  const sim::EventQueue::Stats& s = sim.queue_stats();
+  const sim::LadderQueue::Stats& s = sim.queue_stats();
   r.peak_size = s.peak_size;
   r.pushes = s.pushes;
   r.pops = s.pops;
@@ -79,14 +79,12 @@ void write_stats_json(std::ostream& os, const sim::Simulator& sim,
      << ", \"partition\": \""
      << (sim.shards() > 0 ? sim.partition_strategy() : std::string("serial"))
      << "\"},\n";
-  // Concrete queue-implementation detail: bucket churn, wheel cascades,
-  // reserved capacity.  Partition- and implementation-dependent by nature,
-  // so the same byte-comparison gates strip this block too.
+  // Queue internals: bucket churn, wheel cascades, reserved capacity.
+  // Partition-dependent by nature, so the same byte-comparison gates
+  // strip this block too.
   const sim::Simulator::QueueImplInfo qi = sim.queue_impl_info();
   os << "  \"queue_impl\": {"
-     << "\"impl\": \""
-     << (qi.impl == sim::QueueImpl::kLadder ? "ladder" : "heap")
-     << "\", \"resorts\": " << qi.resorts
+     << "\"resorts\": " << qi.resorts
      << ", \"spills\": " << qi.spills
      << ", \"rebuckets\": " << qi.rebuckets
      << ", \"run_inserts\": " << qi.run_inserts

@@ -46,7 +46,6 @@ void apply_model_flags(ArgParser& args, ExperimentConfig& cfg) {
   cfg.shards = args.get_int("shards", cfg.shards);
   cfg.partition = args.get_string("partition", cfg.partition);
   cfg.min_shard_nodes = args.get_int("shards-min-nodes", cfg.min_shard_nodes);
-  cfg.queue = args.get_string("queue", cfg.queue);
   cfg.faults_file = args.get_string("faults", cfg.faults_file);
   cfg.fault_seed = static_cast<std::uint64_t>(
       args.get_int("fault-seed", static_cast<int>(cfg.fault_seed)));
@@ -78,7 +77,6 @@ void apply_model_flags(ArgParser& args, ExperimentConfig& cfg) {
   cfg.stab_tolerance = args.get_double("stab-tolerance", cfg.stab_tolerance);
   cfg.stab_time = args.get_double("stab-time", cfg.stab_time);
   cfg.stab_bound = args.get_double("stab-bound", cfg.stab_bound);
-  cfg.skew_stride = args.get_int("skew-stride", cfg.skew_stride);
   cfg.obs_backend = args.get_string("obs-backend", cfg.obs_backend);
   cfg.obs_memory_kb = args.get_int("obs-memory-kb", cfg.obs_memory_kb);
 }
@@ -302,6 +300,12 @@ std::unique_ptr<sim::Node> build_node(const ExperimentConfig& cfg,
 }  // namespace
 
 BuiltExperiment build_experiment(const ExperimentConfig& cfg) {
+  // Checked even when serial, so a bad name never passes silently.
+  if (cfg.partition != "auto" && cfg.partition != "block" &&
+      cfg.partition != "ml" && cfg.partition != "multilevel") {
+    throw ConfigError("unknown --partition: " + cfg.partition +
+                      " (expected auto|block|ml)");
+  }
   BuiltExperiment built;
   built.graph = std::make_unique<graph::Graph>(build_topology(cfg));
   built.params = resolve_params(cfg);
@@ -324,16 +328,6 @@ BuiltExperiment build_experiment(const ExperimentConfig& cfg) {
   sim::SimConfig scfg;
   scfg.wake_all_at_zero = cfg.wake_all;
   scfg.probe_interval = cfg.delay;
-  if (cfg.queue == "auto" || cfg.queue.empty()) {
-    scfg.queue = sim::QueueSelect::kAuto;
-  } else if (cfg.queue == "heap") {
-    scfg.queue = sim::QueueSelect::kHeap;
-  } else if (cfg.queue == "ladder") {
-    scfg.queue = sim::QueueSelect::kLadder;
-  } else {
-    throw ConfigError("unknown queue implementation: " + cfg.queue +
-                      " (expected auto|heap|ladder)");
-  }
   built.simulator = std::make_unique<sim::Simulator>(*built.graph, scfg);
   if (cfg.shards > 0) {
     built.simulator->configure_shards(cfg.shards, cfg.partition,

@@ -66,7 +66,7 @@ struct ExperimentConfig {
   bool per_distance = false;
 
   // Sharded engine: number of lanes (0 = classic serial engine) and the
-  // graph::Partition strategy ("auto" | "block" | "bands" | "ml"; auto
+  // graph::Partition strategy ("auto" | "block" | "ml"; auto
   // picks the multilevel partitioner for trees, contiguous blocks
   // elsewhere).  Requires a delay policy with a positive min_delay()
   // (fixed / band), checked at setup.  min_shard_nodes auto-clamps the
@@ -77,12 +77,6 @@ struct ExperimentConfig {
   int shards = 0;
   std::string partition = "auto";
   int min_shard_nodes = 64;
-
-  // Event-queue implementation: "auto" (ladder at or above
-  // sim::Simulator::kLadderAutoThreshold nodes, binary heap below) |
-  // "heap" | "ladder".  Pop order is byte-identical across all three;
-  // only throughput differs.
-  std::string queue = "auto";
 
   // Fault injection (docs/FAULTS.md).
   std::string faults_file;       // FaultPlan text file; empty = fault-free
@@ -126,15 +120,6 @@ struct ExperimentConfig {
   // Stabilization-probe threshold: an inserted edge counts as stabilized
   // when its skew stays <= this (0 = the Thm 5.10 local bound).
   double stab_bound = 0.0;
-
-  // Skew-tracker sampling stride: observe every Nth event only (> 1
-  // degrades the incremental engine to strided full rescans and reported
-  // maxima become lower bounds, but large-n serial runs stop paying a
-  // rescan per event; execution bytes are unaffected).  1 = exact.
-  // DEPRECATED: serial-engine only and no error bound — prefer
-  // obs_backend = "stair", which grid-samples with a queryable bound and
-  // works identically under --shards.
-  int skew_stride = 1;
 
   // Telemetry history backend ("exact" | "stair") and the stair sketch's
   // per-stream memory budget.  Observer-only: record/trace bytes are

@@ -109,7 +109,7 @@ RunResult SweepRunner::run_one(const RunSpec& spec, std::size_t index,
     // Per-run observability snapshot for the sinks.  Deterministic
     // quantities only — rows must not depend on scheduling or wall time.
     const sim::Simulator& sim = *built.simulator;
-    const sim::EventQueue::Stats& qs = sim.queue_stats();
+    const sim::LadderQueue::Stats& qs = sim.queue_stats();
     r.metrics = {
         {"events", static_cast<double>(sim.events_processed())},
         {"messages_dropped", static_cast<double>(sim.messages_dropped())},

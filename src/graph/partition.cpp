@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <numeric>
 #include <queue>
 #include <stdexcept>
 #include <string>
@@ -388,35 +387,6 @@ Partition Partition::block(const Graph& g, int num_shards) {
   return p;
 }
 
-Partition Partition::bfs_bands(const Graph& g, int num_shards) {
-  check_args(g, num_shards);
-  Partition p;
-  p.num_shards_ = num_shards;
-  const auto n = static_cast<std::size_t>(g.num_nodes());
-  const auto k = static_cast<std::size_t>(num_shards);
-
-  const std::vector<int> depth = g.bfs_distances(0);
-  std::vector<NodeId> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-    // Unreachable nodes (depth -1) band last, after the deepest layer.
-    const int da = depth[static_cast<std::size_t>(a)];
-    const int db = depth[static_cast<std::size_t>(b)];
-    const int ka = da < 0 ? g.num_nodes() : da;
-    const int kb = db < 0 ? g.num_nodes() : db;
-    if (ka != kb) return ka < kb;
-    return a < b;
-  });
-
-  p.shard_of_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    p.shard_of_[static_cast<std::size_t>(order[i])] =
-        static_cast<int>(i * k / n);
-  }
-  p.finish(g);
-  return p;
-}
-
 Partition Partition::make(const Graph& g, int num_shards,
                           const std::string& strategy) {
   if (strategy == "auto" || strategy.empty()) {
@@ -430,12 +400,11 @@ Partition Partition::make(const Graph& g, int num_shards,
     return tree ? multilevel(g, num_shards) : block(g, num_shards);
   }
   if (strategy == "block") return block(g, num_shards);
-  if (strategy == "bands") return bfs_bands(g, num_shards);
   if (strategy == "ml" || strategy == "multilevel") {
     return multilevel(g, num_shards);
   }
   throw std::invalid_argument("Partition: unknown strategy '" + strategy +
-                              "' (expected auto|block|bands|ml)");
+                              "' (expected auto|block|ml)");
 }
 
 Partition Partition::from_assignment(const Graph& g,

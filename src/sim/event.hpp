@@ -63,10 +63,9 @@ struct Event {
 
 static_assert(sizeof(Event) <= 48, "Event must stay within one cache line");
 
-/// The canonical event order.  Every queue implementation — the 4-ary
-/// heap, the ladder queue, and the timer wheel's merged stream — pops in
-/// exactly this order, which is what makes `--queue` and `--shards`
-/// output byte-identical.
+/// The canonical event order.  The ladder queue and the timer wheel's
+/// merged stream both pop in exactly this order, which is what makes
+/// `--shards` output byte-identical.
 inline bool event_before(const Event& a, const Event& b) {
   if (a.time != b.time) return a.time < b.time;
   if (a.source != b.source) return a.source < b.source;

@@ -36,6 +36,8 @@ inline std::size_t bucket_index(double t, double base, double width,
 
 void LadderQueue::push(const Event& e) {
   ++size_;
+  ++stats_.pushes;
+  if (size_ > stats_.peak_size) stats_.peak_size = size_;
   if (e.time < run_end_) {
     // Below the sorted run's horizon: pay a sorted insert.  Requires a
     // delay shorter than one bucket width, so this path is cold.
@@ -69,11 +71,7 @@ void LadderQueue::advance() {
       while (r.pos < r.buckets.size() && r.buckets[r.pos].empty()) ++r.pos;
       if (r.pos == r.buckets.size()) {
         // Rung exhausted; recycle its bucket storage and resume the parent.
-        for (std::vector<Event>& b : r.buckets) {
-          if (b.capacity() > 0 && bucket_pool_.size() < kMaxBuckets) {
-            bucket_pool_.push_back(std::move(b));
-          }
-        }
+        for (std::vector<Event>& b : r.buckets) recycle(b);
         rungs_.pop_back();
         continue;
       }
@@ -84,16 +82,16 @@ void LadderQueue::advance() {
         const double lo = r.base + r.width * static_cast<double>(r.pos);
         const double hi = lo + r.width;
         std::vector<Event> events = std::move(bucket);
-        bucket.clear();
         ++r.pos;
         ++istats_.spills;
-        spawn_rung(std::move(events), lo, hi);  // invalidates r
+        spawn_rung(events, lo, hi);  // invalidates r
+        recycle(events);  // the drained carrier is bucket-sized storage
         continue;
       }
-      // Sort this bucket and make it the run.  Swap keeps both allocations
-      // alive: the bucket inherits the drained run's capacity.
+      // Sort this bucket and make it the run; the drained run's storage
+      // goes back to the pool.
       run_.swap(bucket);
-      bucket.clear();
+      recycle(bucket);
       std::sort(run_.begin(), run_.end(), event_after);
       ++istats_.resorts;
       ++r.pos;
@@ -120,11 +118,29 @@ void LadderQueue::advance() {
     // push's membership test (t < end) then agrees with spawn placement
     // for every time the rung was built from, fp edges included.
     double span = (hi - lo) * (1.0 + 1e-9) + min_width(lo);
-    spawn_rung(std::move(events), lo, lo + span);
+    spawn_rung(events, lo, lo + span);
+    // The carrier returns to the overflow, which refills at the same
+    // rate, unless it was sized for a larger population than it held
+    // (size_ is exactly that population: run and rungs were empty).
+    if (events.capacity() <= 2 * pool_limit()) {
+      events.clear();
+      overflow_.swap(events);
+    }
   }
 }
 
-void LadderQueue::spawn_rung(std::vector<Event>&& events, double lo,
+void LadderQueue::recycle(std::vector<Event>& b) {
+  const std::size_t cap = b.capacity();
+  if (cap > 0 && pool_slots_ + cap <= pool_limit() &&
+      bucket_pool_.size() < kMaxBuckets) {
+    b.clear();
+    pool_slots_ += cap;
+    bucket_pool_.push_back(std::move(b));
+  }
+  std::vector<Event>().swap(b);  // b is left without storage either way
+}
+
+void LadderQueue::spawn_rung(const std::vector<Event>& events, double lo,
                              double hi) {
   Rung r;
   r.base = lo;
@@ -137,19 +153,13 @@ void LadderQueue::spawn_rung(std::vector<Event>&& events, double lo,
   if (!(r.width > 0.0)) r.width = min_width(lo);
   r.buckets.resize(nb);
   for (std::vector<Event>& b : r.buckets) {
-    if (!bucket_pool_.empty()) {
-      b = std::move(bucket_pool_.back());
-      bucket_pool_.pop_back();
-      b.clear();
-    }
+    if (bucket_pool_.empty()) break;
+    b = std::move(bucket_pool_.back());
+    bucket_pool_.pop_back();
+    pool_slots_ -= b.capacity();
   }
   for (const Event& e : events) {
     r.buckets[bucket_index(e.time, r.base, r.width, nb)].push_back(e);
-  }
-  if (bucket_pool_.size() < kMaxBuckets) {
-    events.clear();
-    // The drained carrier vector is bucket-sized storage too.
-    bucket_pool_.push_back(std::move(events));
   }
   rungs_.push_back(std::move(r));
   if (rungs_.size() > istats_.peak_rungs) istats_.peak_rungs = rungs_.size();
@@ -157,9 +167,6 @@ void LadderQueue::spawn_rung(std::vector<Event>&& events, double lo,
 
 void LadderQueue::clear() {
   run_.clear();
-  for (Rung& r : rungs_) {
-    for (std::vector<Event>& b : r.buckets) b.clear();
-  }
   rungs_.clear();
   overflow_.clear();
   size_ = 0;

@@ -1,6 +1,8 @@
-// Ladder (bucket) event queue: O(1) amortized insert/pop for the large-n
-// hot path, ordered by the same schedule-order-independent key as the
-// 4-ary heap (event_before: time, source, per-source seq, twin).
+// The simulator's event queue: a ladder (bucket) queue with O(1)
+// amortized insert/pop, ordered by the canonical schedule-order-independent
+// key (event_before: time, source, per-source seq, twin).  Timer events do
+// not live here: node self-timers are handled by the TimerWheel and merged
+// with this queue's pop stream by the simulator.
 //
 // Structure (a ladder in the sense of Tang et al.'s ladder queue, adapted
 // to the canonical key):
@@ -29,7 +31,15 @@
 // drained in time order, floor() is monotone (equal times always share a
 // bucket, smaller times never land in a later bucket), and each bucket is
 // fully sorted by event_before before anything pops.  The pop sequence is
-// therefore exactly the heap's, for any push interleaving.
+// therefore exactly a priority queue's under that key, for any push
+// interleaving (the tests check it against a reference 4-ary heap).
+//
+// Memory: retained storage follows the live population.  Spent buckets
+// are recycled through a pool whose total capacity never exceeds
+// max(size(), kMinPoolSlots) slots, and the overflow keeps its carrier
+// across a re-bucket only while that carrier is sized for the population
+// it held; everything else is freed.  A burst therefore does not pin its
+// peak footprint for the rest of the run.
 //
 // The run doubles as the prefetch window: upcoming() exposes the next few
 // pops so the simulator can prefetch their destination node slots.
@@ -45,6 +55,14 @@ namespace tbcs::sim {
 
 class LadderQueue {
  public:
+  /// Canonical counters: the same for any bucket layout.
+  struct Stats {
+    std::size_t peak_size = 0;
+    std::uint64_t pushes = 0;
+    std::uint64_t pops = 0;
+  };
+
+  /// Bucket-layout internals (NOT canonical).
   struct ImplStats {
     std::uint64_t resorts = 0;    // buckets sorted into the run
     std::uint64_t spills = 0;     // oversized buckets refined into a new rung
@@ -69,6 +87,7 @@ class LadderQueue {
     const Event out = run_.back();
     run_.pop_back();
     --size_;
+    ++stats_.pops;
     return out;
   }
 
@@ -89,10 +108,11 @@ class LadderQueue {
     return run_.data() + (run_.size() - count);
   }
 
-  /// Allocated event slots across the run, all rung buckets, and the
-  /// overflow (an O(#buckets) walk; stats-time only).
+  /// Allocated event slots across the run, all rung buckets, the
+  /// overflow and the bucket pool (an O(#buckets) walk; stats-time only).
   std::size_t capacity() const;
 
+  const Stats& stats() const { return stats_; }
   const ImplStats& impl_stats() const { return istats_; }
 
  private:
@@ -105,6 +125,9 @@ class LadderQueue {
   static constexpr std::size_t kSpillAt = 64;
   static constexpr std::size_t kMinBuckets = 32;
   static constexpr std::size_t kMaxBuckets = 4096;
+  // Pool capacity allowed whatever the population: one minimal rung's
+  // worth of buckets at the target fill.
+  static constexpr std::size_t kMinPoolSlots = kMinBuckets * kTargetPerBucket;
 
   struct Rung {
     double base = 0.0;
@@ -117,14 +140,21 @@ class LadderQueue {
   };
 
   void advance();  // refill run_ from the rungs / overflow
-  void spawn_rung(std::vector<Event>&& events, double lo, double hi);
+  void spawn_rung(const std::vector<Event>& events, double lo, double hi);
+  /// Pools `b`'s storage if the pool stays within its bound, else frees it.
+  void recycle(std::vector<Event>& b);
+  std::size_t pool_limit() const {
+    return size_ > kMinPoolSlots ? size_ : kMinPoolSlots;
+  }
 
   std::vector<Event> run_;  // sorted descending by event_before
   double run_end_ = -kInfinity;
   std::vector<Rung> rungs_;
   std::vector<Event> overflow_;
   std::vector<std::vector<Event>> bucket_pool_;  // recycled bucket storage
+  std::size_t pool_slots_ = 0;  // total capacity held by bucket_pool_
   std::size_t size_ = 0;
+  Stats stats_;
   ImplStats istats_;
 };
 

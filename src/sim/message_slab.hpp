@@ -63,7 +63,7 @@ class MessageSlab {
     return chunks_[h / kChunk]->msgs[h % kChunk];
   }
 
-  /// Drops all payloads (used together with EventQueue::clear()).
+  /// Drops all payloads (used together with LadderQueue::clear()).
   void clear() {
     free_.clear();
     for (std::uint32_t c = 0; c < chunks_.size(); ++c) {

@@ -59,18 +59,6 @@ Simulator::Simulator(const graph::Graph& g, SimConfig cfg)
       drift_(std::make_shared<ConstantDrift>(1.0)),
       delay_(std::make_shared<FixedDelay>(0.0)) {
   const auto n = static_cast<std::size_t>(g.num_nodes());
-  switch (cfg_.queue) {
-    case QueueSelect::kHeap:
-      queue_impl_ = QueueImpl::kHeap;
-      break;
-    case QueueSelect::kLadder:
-      queue_impl_ = QueueImpl::kLadder;
-      break;
-    case QueueSelect::kAuto:
-      queue_impl_ = g.num_nodes() >= kLadderAutoThreshold ? QueueImpl::kLadder
-                                                          : QueueImpl::kHeap;
-      break;
-  }
   slot_of_.resize(n);
   for (std::size_t v = 0; v < n; ++v) {
     slot_of_[v] = static_cast<std::uint32_t>(v);  // identity until sharded
@@ -93,7 +81,6 @@ void Simulator::init_lanes(std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) {
     Lane& ln = lanes_[i];
     ln.index = static_cast<int>(i);
-    ln.queue.set_impl(queue_impl_);
     ln.link_up.assign(graph_.num_edges(), 1);
     ln.outbox.resize(count);
     ln.services = std::make_unique<ServicesImpl>(*this, ln);

@@ -56,8 +56,8 @@
 // delivery/link events store their edge index so processing is array
 // lookups only.  Node self-timers live in a per-lane TimerWheel (O(1)
 // cancel/re-arm) merged with the event queue's pop stream; the queue
-// itself is a 4-ary heap or, at large n, a ladder queue (see
-// event_queue.hpp), both popping in the identical canonical order.
+// itself is a ladder queue (see ladder_queue.hpp) popping in the
+// canonical key order.
 // Per-node hot state (hardware clock, timer slots, awake/crashed bits) is
 // struct-of-arrays, indexed by a *slot* permutation that lays each
 // shard's members out contiguously — a lane's working set is a dense
@@ -80,8 +80,8 @@
 #include "graph/partition.hpp"
 #include "sim/delay_policy.hpp"
 #include "sim/drift_policy.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/hardware_clock.hpp"
+#include "sim/ladder_queue.hpp"
 #include "sim/message_slab.hpp"
 #include "sim/node.hpp"
 #include "sim/timer_wheel.hpp"
@@ -118,12 +118,6 @@ struct SimConfig {
   /// queue peak is sampled).  <= 0 picks 4x the delay policy's global
   /// min_delay().  The serial engine ignores it (observers run per event).
   Duration observation_interval = 0.0;
-
-  /// Event-queue implementation.  kAuto picks the ladder queue at or above
-  /// kLadderAutoThreshold nodes and the 4-ary heap below; both pop in the
-  /// identical canonical order, so every output byte is the same either
-  /// way (asserted by the differential tests and the smoke gates).
-  QueueSelect queue = QueueSelect::kAuto;
 };
 
 class Simulator {
@@ -145,7 +139,7 @@ class Simulator {
   void set_delay_policy(std::shared_ptr<DelayPolicy> policy);
 
   /// Switches to the sharded time-window engine with `shards` lanes over a
-  /// graph::Partition (`strategy`: "block" | "bands" | "ml").  Must be
+  /// graph::Partition (`strategy`: "auto" | "block" | "ml").  Must be
   /// called before the first run; requires the delay policy to certify a
   /// positive min_delay() (the lookahead), checked at setup.  `shards <= 0`
   /// keeps the classic serial engine.  With shards == 1 the engine runs
@@ -261,8 +255,8 @@ class Simulator {
   /// adversarial values at time `at` (Node::on_scramble, drawn from `seed`
   /// bounded by `magnitude`).  Rides the canonical event stream like a
   /// rate change, so scrambled runs stay byte-identical across shard
-  /// counts and queue implementations; a crashed, departed, or never-woken
-  /// node has no state to scramble and the event is a traced no-op.
+  /// counts; a crashed, departed, or never-woken node has no state to
+  /// scramble and the event is a traced no-op.
   void schedule_scramble(NodeId v, RealTime at, std::uint64_t seed,
                          double magnitude);
 
@@ -367,8 +361,7 @@ class Simulator {
   /// re-arms of a pending slot, rate-change and recovery re-anchors, and
   /// crash-suppressed fires — exactly the population the pre-wheel engine
   /// counted as stale heap pops, now removed in O(1) instead of popped.
-  /// All three are canonical (identical across shard counts and queue
-  /// implementations).
+  /// All three are canonical (identical across shard counts).
   std::uint64_t timer_arms() const {
     std::uint64_t s = carry_arms_;  // history lost to repartition's fresh wheels
     for (const Lane& ln : lanes_) s += ln.wheel.stats().arms;
@@ -381,13 +374,10 @@ class Simulator {
   }
   std::uint64_t timer_cancels() const { return sum_lanes(&Lane::t_cancels); }
 
-  QueueImpl queue_impl() const { return queue_impl_; }
-
   /// Implementation-internal detail for the stats "queue_impl" block:
   /// NOT canonical (bucket/cascade counts depend on the partition), so the
   /// byte-compare gates strip it like the "engine" block.
   struct QueueImplInfo {
-    QueueImpl impl = QueueImpl::kHeap;
     std::uint64_t resorts = 0;
     std::uint64_t spills = 0;
     std::uint64_t rebuckets = 0;
@@ -401,9 +391,8 @@ class Simulator {
   };
   QueueImplInfo queue_impl_info() const {
     QueueImplInfo info;
-    info.impl = queue_impl_;
     for (const Lane& ln : lanes_) {
-      const LadderQueue::ImplStats& ls = ln.queue.ladder_stats();
+      const LadderQueue::ImplStats& ls = ln.queue.impl_stats();
       info.resorts += ls.resorts;
       info.spills += ls.spills;
       info.rebuckets += ls.rebuckets;
@@ -424,7 +413,7 @@ class Simulator {
   /// probes counted by the coordinator), and peak is sampled at window
   /// barriers over the canonical pending count.  The canonical numbers
   /// are identical for every shard count.
-  const EventQueue::Stats& queue_stats() const {
+  const LadderQueue::Stats& queue_stats() const {
     return windowed_ ? canon_stats_ : lanes_[0].queue.stats();
   }
 
@@ -460,13 +449,6 @@ class Simulator {
   static constexpr std::uint8_t kCrashedBit = 2;
   static constexpr std::uint8_t kDepartedBit = 4;  // churn: not in the network
 
- public:
-  /// kAuto queue selection: ladder at or above this many nodes.  Below it
-  /// the whole heap fits in cache and its constants win; above it pops
-  /// start missing on every sift level.
-  static constexpr int kLadderAutoThreshold = 32768;
-
- private:
   /// Horizon cut-distance cap (== Lane::bnd array size).
   static constexpr int kMaxCutDist = 4;
 
@@ -498,7 +480,7 @@ class Simulator {
     Lane(Lane&&) noexcept;
     Lane& operator=(Lane&&) noexcept;
 
-    EventQueue queue;
+    LadderQueue queue;
     MessageSlab slab;
     /// Periodic self-timers of this lane's nodes; merged with the queue's
     /// pop stream under the canonical key (timers never enter the queue).
@@ -674,7 +656,6 @@ class Simulator {
   WindowObserver window_observer_;
   obs::FlightRecorder* recorder_ = nullptr;
   std::vector<Lane> lanes_;  // size 1 (serial) or shard count (windowed)
-  QueueImpl queue_impl_ = QueueImpl::kHeap;  // resolved from cfg_.queue
   std::vector<std::uint64_t> next_seq_;  // per-source counters; last = system
   /// Scramble payloads, indexed by Event::generation (events must stay 48
   /// bytes, so the (seed, magnitude) pair lives out-of-line; the table is
@@ -708,7 +689,7 @@ class Simulator {
   std::uint64_t probe_events_ = 0;
   std::uint64_t probe_canon_pushes_ = 0;
   std::uint64_t probe_canon_pops_ = 0;
-  EventQueue::Stats canon_stats_;
+  LadderQueue::Stats canon_stats_;
   bool in_window_ = false;
   RealTime win_end_ = 0.0;
   bool win_inclusive_ = false;

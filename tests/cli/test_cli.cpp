@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "analysis/skew_tracker.hpp"
 #include "analysis/trace.hpp"
@@ -182,6 +184,34 @@ TEST(ExperimentConfig, UnknownAlgorithmThrows) {
   ExperimentConfig cfg;
   cfg.algorithm = "ntp";
   EXPECT_THROW(build_experiment(cfg), ConfigError);
+}
+
+// Removed options fail loudly instead of being ignored: the simulator has
+// one event queue (no --queue), the stride knob gave way to the stair
+// backend (no --skew-stride), and "bands" is no partition strategy.
+TEST(ExperimentConfig, RemovedFlagsAreUnknown) {
+  ArgParser p({"--queue", "heap", "--skew-stride", "4", "--nodes", "8"});
+  ExperimentConfig cfg;
+  apply_model_flags(p, cfg);
+  EXPECT_EQ(p.unknown_keys(),
+            (std::vector<std::string>{"queue", "skew-stride"}));
+}
+
+TEST(ExperimentConfig, BandsPartitionIsRejected) {
+  ArgParser p({"--partition", "bands"});
+  ExperimentConfig cfg;
+  apply_model_flags(p, cfg);
+  EXPECT_TRUE(p.unknown_keys().empty());
+  for (const int shards : {0, 2}) {
+    cfg.shards = shards;
+    try {
+      build_experiment(cfg);
+      ADD_FAILURE() << "--partition bands accepted at shards=" << shards;
+    } catch (const ConfigError& e) {
+      EXPECT_STREQ(e.what(),
+                   "unknown --partition: bands (expected auto|block|ml)");
+    }
+  }
 }
 
 TEST(ExperimentConfig, AllDriftAndDelayModelsRun) {

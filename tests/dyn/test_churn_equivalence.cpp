@@ -1,8 +1,8 @@
 // Churned runs must stay deterministic and engine-independent: the same
 // experiment with node/edge churn active produces byte-identical results
-// on the serial engine and at every shard count, under both event-queue
-// implementations, through a record/replay round trip, and with mid-run
-// repartitioning — the dynamic-network extension of the sharded
+// on the serial engine and at every shard count, byte-identical to the
+// retired heap queue's run, through a record/replay round trip, and with
+// mid-run repartitioning — the dynamic-network extension of the sharded
 // equivalence suite.
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include "obs/flight_recorder.hpp"
 #include "sim/recorder.hpp"
 #include "sim/simulator.hpp"
+#include "support/run_digest.hpp"
 
 namespace tbcs {
 namespace {
@@ -145,12 +146,9 @@ void expect_equivalent(const RunOutput& a, const RunOutput& b) {
   expect_same_trace(a.trace, b.trace);
 }
 
-class ChurnEquivalence : public testing::TestWithParam<const char*> {};
-
-// Serial vs --shards {1, 2, 4} under one queue implementation, churn on.
-TEST_P(ChurnEquivalence, ChurnedRunMatchesSerialAtEveryShardCount) {
-  cli::ExperimentConfig cfg = churn_config();
-  cfg.queue = GetParam();
+// Serial vs --shards {1, 2, 4}, churn on.
+TEST(ChurnEquivalence, ChurnedRunMatchesSerialAtEveryShardCount) {
+  const cli::ExperimentConfig cfg = churn_config();
   const RunOutput serial = run_case(cfg, 0);
   EXPECT_GT(serial.joins, 0u);
   EXPECT_GT(serial.leaves, 0u);
@@ -160,18 +158,18 @@ TEST_P(ChurnEquivalence, ChurnedRunMatchesSerialAtEveryShardCount) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Queues, ChurnEquivalence,
-                         testing::Values("heap", "ladder"));
-
-// The two queue implementations must agree with each other too (pop
-// order is specified to be identical; churn's up-front event flood is
-// exactly the load that would expose a tie-break divergence).
+// The ladder queue replays the retired 4-ary heap's churned run: the
+// digest below was taken from the heap run of this case while both queues
+// shipped (churn's up-front event flood is exactly the load that would
+// expose a tie-break divergence).
 TEST(ChurnEquivalenceQueues, HeapAndLadderAgree) {
-  cli::ExperimentConfig cfg = churn_config();
-  cfg.queue = "heap";
-  const RunOutput heap = run_case(cfg, 2);
-  cfg.queue = "ladder";
-  expect_equivalent(heap, run_case(cfg, 2));
+  const RunOutput run = run_case(churn_config(), 2);
+  testing_support::RunDigest d;
+  for (const double l : run.logical) d.add(l);
+  d.add(run.broadcasts).add(run.delivered).add(run.dropped).add(run.events);
+  d.add(run.joins).add(run.leaves).add(run.queue_pushes).add(run.queue_pops);
+  d.add(run.trace);
+  EXPECT_EQ(d.hex(), "679ac4fb00a5522f");
 }
 
 // The ftgcs axis: churn exercises the defense layer's forget/re-anchor

@@ -1,8 +1,7 @@
 // fault.* metrics must be engine-independent: the same mixed chaos plan
 // (Byzantine windows, a drift spike, a lossy channel, crash/recovery and
 // a scramble) produces bitwise-identical skew maxima, recovery time and
-// stabilization time on the serial engine and at every shard count,
-// under both event-queue implementations.
+// stabilization time on the serial engine and at every shard count.
 //
 // The mechanism under test is the probe-grid classification: both
 // engines deliver a sample at exactly every k * probe_interval with
@@ -75,10 +74,8 @@ cli::ExperimentConfig chaos_config(const std::string& plan) {
 // Mirrors the tbcs_sim / sweep-runner harness: recovery bounds from the
 // paper theorems, Byzantine nodes excluded, classification on the probe
 // grid.
-FaultMetrics run_case(cli::ExperimentConfig cfg, int shards,
-                      const std::string& queue) {
+FaultMetrics run_case(cli::ExperimentConfig cfg, int shards) {
   cfg.shards = shards;
-  cfg.queue = queue;
   auto built = cli::build_experiment(cfg);
   const int d = built.graph->diameter();
 
@@ -139,12 +136,10 @@ void expect_same_fault_metrics(const FaultMetrics& a, const FaultMetrics& b) {
   EXPECT_EQ(a.events, b.events);
 }
 
-class FaultShardEquivalence : public testing::TestWithParam<const char*> {};
-
-TEST_P(FaultShardEquivalence, ChaosMetricsMatchSerialAtEveryShardCount) {
+TEST(FaultShardEquivalence, ChaosMetricsMatchSerialAtEveryShardCount) {
   const std::string plan = write_plan();
   const cli::ExperimentConfig cfg = chaos_config(plan);
-  const FaultMetrics serial = run_case(cfg, 0, GetParam());
+  const FaultMetrics serial = run_case(cfg, 0);
   // The plan really ran: all 12 events applied, both scrambles seen, and
   // the scramble probe produced a finite self-stabilization time.
   EXPECT_EQ(serial.faults_applied, 12u);
@@ -155,7 +150,7 @@ TEST_P(FaultShardEquivalence, ChaosMetricsMatchSerialAtEveryShardCount) {
   std::vector<FaultMetrics> sharded;
   for (const int shards : {1, 2, 4}) {
     SCOPED_TRACE(testing::Message() << "shards=" << shards);
-    sharded.push_back(run_case(cfg, shards, GetParam()));
+    sharded.push_back(run_case(cfg, shards));
     expect_same_fault_metrics(serial, sharded.back());
   }
   // Among shard counts everything must agree, skew maxima included: the
@@ -167,9 +162,6 @@ TEST_P(FaultShardEquivalence, ChaosMetricsMatchSerialAtEveryShardCount) {
     expect_same_fault_metrics(sharded[0], sharded[i]);
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Queues, FaultShardEquivalence,
-                         testing::Values("heap", "ladder"));
 
 TEST(FaultShardEquivalence, CleanupPlanFile) {
   std::remove((testing::TempDir() + "/tbcs_chaos_plan.txt").c_str());

@@ -1,4 +1,4 @@
-#include "sim/event_queue.hpp"
+#include "sim/ladder_queue.hpp"
 
 #include <gtest/gtest.h>
 
@@ -31,13 +31,13 @@ Event keyed(RealTime t, NodeId source, std::uint64_t seq, bool twin = false) {
 }
 
 TEST(EventQueue, EmptyInitially) {
-  EventQueue q;
+  LadderQueue q;
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(EventQueue, PopsInTimeOrder) {
-  EventQueue q;
+  LadderQueue q;
   q.push(at(3.0));
   q.push(at(1.0));
   q.push(at(2.0));
@@ -48,7 +48,7 @@ TEST(EventQueue, PopsInTimeOrder) {
 }
 
 TEST(EventQueue, SimultaneousEventsPopInSeqOrder) {
-  EventQueue q;
+  LadderQueue q;
   for (int i = 9; i >= 0; --i) {
     Event e = keyed(5.0, /*source=*/3, static_cast<std::uint64_t>(i));
     e.slot = static_cast<std::uint8_t>(i);  // marker
@@ -65,7 +65,7 @@ TEST(EventQueue, SimultaneousEventsPopInSeqOrder) {
 // (kInvalidNode = -1) sorts before every node, and a cut-edge twin sorts
 // directly after its primary.
 TEST(EventQueue, TieBreakIsSourceThenSeqThenTwin) {
-  EventQueue q;
+  LadderQueue q;
   q.push(keyed(5.0, 2, 0));
   q.push(keyed(5.0, 1, 1, /*twin=*/true));
   q.push(keyed(5.0, 1, 1));
@@ -86,9 +86,9 @@ TEST(EventQueue, TieBreakIsSourceThenSeqThenTwin) {
 }
 
 // Key order among ties must hold even when the ties are interleaved with
-// earlier and later events (sift paths move the tied entries around).
+// earlier and later events (bucketing and sorting move them around).
 TEST(EventQueue, SeqTieBreakSurvivesSifting) {
-  EventQueue q;
+  LadderQueue q;
   for (int i = 31; i >= 0; --i) {
     Event e = keyed(5.0, /*source=*/0, static_cast<std::uint64_t>(i));
     e.slot = static_cast<std::uint8_t>(i);
@@ -121,7 +121,7 @@ TEST(EventQueue, PopOrderIndependentOfPushOrder) {
     e.slot = static_cast<std::uint8_t>(i % 251);
     events.push_back(e);
   }
-  const auto drain = [](EventQueue& q) {
+  const auto drain = [](LadderQueue& q) {
     std::vector<std::pair<double, std::uint64_t>> out;
     while (!q.empty()) {
       const Event e = q.pop();
@@ -132,15 +132,15 @@ TEST(EventQueue, PopOrderIndependentOfPushOrder) {
     }
     return out;
   };
-  EventQueue fwd;
+  LadderQueue fwd;
   for (const Event& e : events) fwd.push(e);
-  EventQueue rev;
+  LadderQueue rev;
   for (auto it = events.rbegin(); it != events.rend(); ++it) rev.push(*it);
   EXPECT_EQ(drain(fwd), drain(rev));
 }
 
 TEST(EventQueue, InterleavedPushPop) {
-  EventQueue q;
+  LadderQueue q;
   q.push(at(10.0));
   q.push(at(5.0));
   EXPECT_DOUBLE_EQ(q.pop().time, 5.0);
@@ -152,14 +152,14 @@ TEST(EventQueue, InterleavedPushPop) {
 }
 
 TEST(EventQueue, TopDoesNotPop) {
-  EventQueue q;
+  LadderQueue q;
   q.push(at(2.0));
   EXPECT_DOUBLE_EQ(q.top().time, 2.0);
   EXPECT_EQ(q.size(), 1u);
 }
 
 TEST(EventQueue, RandomizedOrderingProperty) {
-  EventQueue q;
+  LadderQueue q;
   Rng rng(777);
   for (int i = 0; i < 5000; ++i) q.push(at(rng.uniform(0.0, 1000.0)));
   RealTime last = -1.0;
@@ -170,12 +170,12 @@ TEST(EventQueue, RandomizedOrderingProperty) {
   }
 }
 
-// The 4-ary heap against a reference ordered set under random interleaved
+// The queue against a reference ordered set under random interleaved
 // push/pop: every pop must return the least (time, seq) currently in the
 // queue, including exact time ties.
 TEST(EventQueue, RandomizedMatchesReferenceOrder) {
   using Key = std::pair<RealTime, int>;  // (time, stamped seq)
-  EventQueue q;
+  LadderQueue q;
   std::priority_queue<Key, std::vector<Key>, std::greater<Key>> ref;
   Rng rng(4242);
   int rank = 0;
@@ -203,7 +203,7 @@ TEST(EventQueue, RandomizedMatchesReferenceOrder) {
 
 TEST(EventQueue, CarriesPayloadThroughSlab) {
   MessageSlab slab;
-  EventQueue q;
+  LadderQueue q;
   Message m;
   m.logical = 3.25;
   m.logical_max = 7.5;
@@ -269,7 +269,7 @@ TEST(MessageSlab, HoldsChunkUntilDrained) {
 }
 
 TEST(EventQueue, ClearEmpties) {
-  EventQueue q;
+  LadderQueue q;
   q.push(at(1.0));
   q.push(at(2.0));
   q.clear();
@@ -279,7 +279,7 @@ TEST(EventQueue, ClearEmpties) {
 // Keys are stamped by the producer, so ordering across a clear() is
 // whatever the stamps say — nothing in the queue resets or rewrites them.
 TEST(EventQueue, KeyOrderSurvivesClear) {
-  EventQueue q;
+  LadderQueue q;
   for (int i = 0; i < 5; ++i) q.push(keyed(9.0, 0, static_cast<std::uint64_t>(i)));
   q.clear();
   EXPECT_TRUE(q.empty());
@@ -292,8 +292,8 @@ TEST(EventQueue, KeyOrderSurvivesClear) {
 }
 
 TEST(EventQueue, StatsTrackPeakAndChurn) {
-  EventQueue q;
-  const EventQueue::Stats& s = q.stats();
+  LadderQueue q;
+  const LadderQueue::Stats& s = q.stats();
   EXPECT_EQ(s.peak_size, 0u);
   q.push(at(1.0));
   q.push(at(2.0));

@@ -1,19 +1,22 @@
 // Ladder-queue unit suite: the bucket queue must pop the exact sequence
-// the 4-ary heap pops — the key (time, source, seq, twin) is a pure
-// function of the event set, so any divergence is a determinism bug, not
-// a performance tradeoff.
+// the reference 4-ary heap pops — the key (time, source, seq, twin) is a
+// pure function of the event set, so any divergence is a determinism bug,
+// not a performance tradeoff.
 #include "sim/ladder_queue.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
-#include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
+#include "support/reference_heap.hpp"
 
 namespace tbcs::sim {
 namespace {
+
+using testing_support::ReferenceHeap;
 
 Event keyed(RealTime t, NodeId source, std::uint64_t seq, bool twin = false) {
   Event e;
@@ -26,7 +29,7 @@ Event keyed(RealTime t, NodeId source, std::uint64_t seq, bool twin = false) {
 
 void expect_same_pops(const std::vector<Event>& events) {
   LadderQueue ladder;
-  EventQueue heap;  // default impl: the 4-ary heap
+  ReferenceHeap heap;
   for (const Event& e : events) {
     ladder.push(e);
     heap.push(e);
@@ -187,15 +190,14 @@ TEST(LadderQueue, MatchesHeapOnRandomSets) {
   }
 }
 
-// Same property under interleaved push/pop through the EventQueue facade,
-// which is how the simulator drives it.
+// Same property under interleaved push/pop, which is how the simulator
+// drives the queue.
 TEST(LadderQueue, FacadeMatchesHeapUnderInterleaving) {
   Rng rng(424242);
-  EventQueue heap;
-  EventQueue ladder;
-  ladder.set_impl(QueueImpl::kLadder);
-  ASSERT_EQ(ladder.impl(), QueueImpl::kLadder);
+  ReferenceHeap heap;
+  LadderQueue ladder;
   int rank = 0;
+  std::uint64_t pops = 0;
   for (int round = 0; round < 6000; ++round) {
     if (heap.empty() || rng.uniform(0.0, 1.0) < 0.6) {
       const Event e = keyed(rng.uniform(0.0, 100.0),
@@ -206,6 +208,7 @@ TEST(LadderQueue, FacadeMatchesHeapUnderInterleaving) {
     } else {
       const Event a = heap.pop();
       const Event b = ladder.pop();
+      ++pops;
       ASSERT_DOUBLE_EQ(a.time, b.time);
       ASSERT_EQ(a.source, b.source);
       ASSERT_EQ(a.seq, b.seq);
@@ -214,11 +217,13 @@ TEST(LadderQueue, FacadeMatchesHeapUnderInterleaving) {
   while (!heap.empty()) {
     const Event a = heap.pop();
     const Event b = ladder.pop();
+    ++pops;
     ASSERT_DOUBLE_EQ(a.time, b.time);
     ASSERT_EQ(a.seq, b.seq);
   }
   EXPECT_TRUE(ladder.empty());
-  EXPECT_EQ(heap.stats().pops, ladder.stats().pops);
+  EXPECT_EQ(ladder.stats().pops, pops);
+  EXPECT_EQ(ladder.stats().pushes, static_cast<std::uint64_t>(rank));
 }
 
 TEST(LadderQueue, ReserveAndCapacityAccounting) {
@@ -230,6 +235,32 @@ TEST(LadderQueue, ReserveAndCapacityAccounting) {
                  static_cast<std::uint64_t>(i)));
   }
   EXPECT_GE(q.capacity(), q.size());
+}
+
+// A burst must not pin its footprint: once it has drained into a small
+// steady population, the retained storage (pool and overflow carrier
+// included) follows that population, across many re-buckets.
+TEST(LadderQueue, PooledStorageFollowsTheLivePopulation) {
+  LadderQueue q;
+  Rng rng(99);
+  std::uint64_t seq = 0;
+  for (int i = 0; i < 10000; ++i) {
+    q.push(keyed(rng.uniform(0.0, 100.0), 0, seq++));
+  }
+  RealTime last = 0.0;
+  while (q.size() > 100) {
+    last = q.pop().time;
+  }
+  const std::uint64_t rebuckets = q.impl_stats().rebuckets;
+  for (int i = 0; i < 100000; ++i) {
+    const Event e = q.pop();
+    ASSERT_GE(e.time, last);
+    last = e.time;
+    q.push(keyed(e.time + rng.uniform(1.0, 50.0), 0, seq++));
+  }
+  EXPECT_GE(q.impl_stats().rebuckets, rebuckets + 10);
+  EXPECT_EQ(q.size(), 100u);
+  EXPECT_LE(q.capacity(), 8 * std::max<std::size_t>(q.size(), 256));
 }
 
 }  // namespace

@@ -164,9 +164,10 @@ TEST_P(ShardedEquivalence, MatchesSerialAtEveryShardCount) {
   }
 }
 
-TEST_P(ShardedEquivalence, BandsPartitionMatchesToo) {
+// Contiguous blocks on every topology (auto picks ml for the tree).
+TEST_P(ShardedEquivalence, BlockPartitionMatchesToo) {
   cli::ExperimentConfig cfg = base_config(GetParam(), 24);
-  cfg.partition = "bands";
+  cfg.partition = "block";
   expect_equivalent(run_case(cfg, 0), run_case(cfg, 3));
 }
 

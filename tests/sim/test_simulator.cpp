@@ -308,7 +308,7 @@ TEST(Simulator, QueueStatsReportPeakAndChurn) {
   auto nodes = install_script_nodes(sim, 5);
   nodes[0]->on_wake_hook = [](NodeServices& sv) { sv.broadcast(make_msg(0)); };
   sim.run_until(5.0);
-  const EventQueue::Stats& s = sim.queue_stats();
+  const LadderQueue::Stats& s = sim.queue_stats();
   EXPECT_GE(s.peak_size, 4u);  // 4 in-flight deliveries at once
   EXPECT_GE(s.pushes, s.pops);
   // The root wake is direct (not queued); the four deliveries are the

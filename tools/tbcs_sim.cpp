@@ -114,29 +114,12 @@ run:        --duration T --seed S --wake-all --per-distance
                                JSON "engine" block
             --partition P      shard assignment: auto (default: ml for
                                trees, block elsewhere) | block (contiguous
-                               id ranges) | bands (BFS layers) | ml
-                               (multilevel cut-minimizing; best when node
-                               ids carry no locality, e.g. ER)
-            --queue Q          event-queue implementation: auto (default:
-                               ladder at >= 32768 nodes, heap below) |
-                               heap | ladder.  Pop order is identical for
-                               all three; only throughput differs
+                               id ranges) | ml (multilevel cut-
+                               minimizing; best when node ids carry no
+                               locality, e.g. ER)
             --progress[=SECS]  stderr heartbeat every SECS wall seconds
                                (default 5): wall time, sim time, events/s,
                                queue depth, current shard horizon
-            --skew-stride N    DEPRECATED: prefer --obs-backend stair,
-                               which samples on a fixed time grid with a
-                               queryable error bound and is byte-identical
-                               under --shards.  Strided sampling keeps
-                               every Nth event only; reported maxima
-                               become lower bounds with no bound on the
-                               error, and the flag is ignored when
-                               sharded (that engine samples per window
-                               barrier, not per event).  Execution bytes
-                               (--record / --trace) are unaffected.
-            note: a skew-tracker stride > 1 silently degrades the
-            incremental engine to full rescans; such samples are counted
-            in the `skew.full_rescan_fallback` metrics counter (--stats)
 output:     --series-csv FILE --profile-csv FILE --snapshot-csv FILE
 record:     --record FILE      save this execution (rates + delays)
             --replay FILE      re-run a saved execution (overrides the
@@ -151,7 +134,7 @@ observe:    --obs-backend B    telemetry history backend: exact (default;
                                the advertised error_bound of exact).
                                Observer-only: --record / --trace bytes
                                and the stair figures themselves are
-                               identical across --shards / --queue
+                               identical across --shards
             --obs-memory-kb N  per-stream stair memory budget (default 64)
             --stats            print communication/queue/obs/metrics/trace
                                counters as one JSON object on exit
@@ -208,21 +191,6 @@ int main(int argc, char** argv) {
   try {
     const obs::HistoryConfig hcfg = cli::resolve_history(cfg);
     const bool stair = hcfg.backend == obs::HistoryConfig::Backend::kStair;
-    if (cfg.skew_stride > 1) {
-      std::cerr << "warning: --skew-stride is deprecated; prefer "
-                   "--obs-backend stair (grid sampling with a queryable "
-                   "error bound, engine-invariant)\n";
-      if (cfg.shards > 0) {
-        std::cerr << "warning: --skew-stride is ignored with --shards "
-                  << cfg.shards
-                  << " (the sharded engine samples per window barrier, "
-                     "not per event)\n";
-      }
-      if (stair) {
-        std::cerr << "warning: --skew-stride is ignored with --obs-backend "
-                     "stair (the sketch samples on the probe grid)\n";
-      }
-    }
 
     auto built = cli::build_experiment(cfg);
     sim::Simulator& sim = *built.simulator;
@@ -287,20 +255,12 @@ int main(int argc, char** argv) {
 
     analysis::SkewTracker::Options topt;
     if (audit_oracle) topt.mode = analysis::SkewTracker::Mode::kAuditOracle;
-    // The stride exists for the serial per-event observer; the sharded
-    // engine already samples per window barrier (thousands of events per
-    // call), so striding there would only starve the reports.  The stair
-    // backend replaces it outright with grid sampling.
-    topt.stride =
-        cfg.skew_stride > 1 && cfg.shards == 0 && !stair
-            ? static_cast<std::uint64_t>(cfg.skew_stride)
-            : 1;
     topt.audit_epsilon = cfg.eps;
     topt.history = hcfg;
     if (stair) {
       // Sample on the probe grid k * delay — the same instants in every
       // engine (serial probe events, sharded probe barriers), so the
-      // sketch is byte-identical across --shards/--queue.  Between grid
+      // sketch is byte-identical across --shards.  Between grid
       // points logical rates stay within [1-eps, (1+eps)(1+mu)], which
       // bounds how far a skew extremum can drift: that span times the
       // grid step is the advertised error bound.
@@ -344,7 +304,6 @@ int main(int argc, char** argv) {
       dyn::StabilizationProbe::Options popt;
       popt.bound = cfg.stab_bound > 0.0 ? cfg.stab_bound : l_bound;
       popt.mu = built.params.mu;
-      popt.stride = topt.stride;
       popt.history = hcfg;
       if (stair) popt.sample_grid = cfg.delay;
       probe.emplace(popt);
@@ -579,7 +538,7 @@ int main(int argc, char** argv) {
     if (stats || !stats_json.empty()) {
       // Every figure in the "obs" block is a pure function of the
       // grid-sampled append sequence, hence identical across
-      // --shards/--queue — the byte-comparison gates rely on that.
+      // --shards — the byte-comparison gates rely on that.
       analysis::ObsBackendReport obs_report;
       obs_report.backend = obs::history_backend_name(hcfg.backend);
       obs_report.budget_bytes = hcfg.memory_budget_bytes;
