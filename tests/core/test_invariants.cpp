@@ -24,7 +24,11 @@
 namespace tbcs::core {
 namespace {
 
+// gtest lists each case with a byte dump of its Scenario; leading with a
+// plain value rather than a heap pointer keeps the listed name the same
+// from build to build.
 struct Scenario {
+  double duration = 300.0;
   std::string name;
   graph::Graph graph;
   std::shared_ptr<sim::DriftPolicy> drift;
@@ -32,7 +36,6 @@ struct Scenario {
   double eps;    // true maximum drift of the adversary
   double delay_bound;  // true delay uncertainty T
   SyncParams params;
-  double duration = 300.0;
 };
 
 std::shared_ptr<sim::DelayPolicy> worst_toward(double t, graph::NodeId pivot,
