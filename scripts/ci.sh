@@ -8,7 +8,9 @@
 #      (-DTBCS_SANITIZE=address,undefined) and run them.  The threaded
 #      runtime and the sharded metrics registry are the pieces most at
 #      risk of memory/lifetime bugs, so they get sanitizer coverage even
-#      in a quick pass.
+#      in a quick pass.  A faulty sweep on 4 workers (tbcs_sweep --jobs 4
+#      --faults) runs the shared run path (cli::ExperimentRun) under ASan
+#      on pool threads.
 #   3. TSan smoke: rebuild the threaded-runtime tests (including the
 #      fault-injection paths: partitions, link flips, the channel hook,
 #      and the stop() watchdog) and the sharded-engine tests (worker
@@ -17,7 +19,8 @@
 #      plus the churn-equivalence tests (joins/leaves, link churn, and
 #      mid-run repartition migration across concurrent lanes) and the
 #      fault/shard equivalence tests (chaos plans driving scrambles and
-#      Byzantine windows through the concurrent lanes).
+#      Byzantine windows through the concurrent lanes), and the exec
+#      tests (the sweep pool runs the shared run path on worker threads).
 #      These are the only tests with real cross-thread contention.
 #   4. Sharded smoke + perf gate: smoke_shards.sh equivalence gates plus
 #      SMOKE_SHARDS_PERF=1, which fails if --shards 4 runs >10% slower
@@ -59,7 +62,8 @@ echo
 echo "=== sanitizer smoke: ASan+UBSan (jobs=$JOBS) ==="
 cmake -B build-asan -S . -DTBCS_SANITIZE=address,undefined > /dev/null
 cmake --build build-asan -j "$JOBS" --target \
-  tbcs_sim_tool tbcs_trace test_runtime test_obs test_metrics test_trace_tools
+  tbcs_sim_tool tbcs_sweep tbcs_trace test_runtime test_obs test_metrics \
+  test_trace_tools
 
 SAN_TMP="$(mktemp -d)"
 trap 'rm -rf "$SAN_TMP"' EXIT
@@ -67,6 +71,13 @@ build-asan/tools/tbcs_sim --topology grid --rows 4 --cols 4 --algo aopt \
   --duration 60 --trace "$SAN_TMP/t.bin" --stats > /dev/null
 build-asan/tools/tbcs_trace --summary "$SAN_TMP/t.bin" > /dev/null
 build-asan/tools/tbcs_trace --chrome "$SAN_TMP/t.bin" --out "$SAN_TMP/t.json"
+printf '%s\n' "crash node=3 at=10" "recover node=3 at=20" \
+  "byzantine node=5 from=5 until=25 mode=fixed offset=50" \
+  "channel from=12 until=30 drop=0.1 jitter=0.2" \
+  "scramble node=7 at=28 magnitude=4" > "$SAN_TMP/plan.txt"
+build-asan/tools/tbcs_sweep --topology ring --nodes 16 --algo ftgcs \
+  --delays band --param eps --values 0.01,0.02 --replicas 4 --duration 40 \
+  --jobs 4 --faults "$SAN_TMP/plan.txt" > /dev/null
 build-asan/tests/test_runtime
 build-asan/tests/test_obs
 build-asan/tests/test_metrics
@@ -77,12 +88,13 @@ echo "=== sanitizer smoke: TSan threaded runtime + sharded engine (jobs=$JOBS) =
 cmake -B build-tsan -S . -DTBCS_SANITIZE=thread > /dev/null
 cmake --build build-tsan -j "$JOBS" --target \
   test_runtime test_runtime_faults test_sharded_equivalence \
-  test_churn_equivalence test_fault_shard_equivalence
+  test_churn_equivalence test_fault_shard_equivalence test_exec
 build-tsan/tests/test_runtime
 build-tsan/tests/test_runtime_faults
 build-tsan/tests/test_sharded_equivalence
 build-tsan/tests/test_churn_equivalence
 build-tsan/tests/test_fault_shard_equivalence
+build-tsan/tests/test_exec
 
 echo
 echo "=== sharded smoke + perf gate ==="

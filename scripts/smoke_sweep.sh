@@ -2,18 +2,26 @@
 # Smoke test for the parallel sweep pipeline: runs a tiny 2-D sweep
 # through the tbcs_sweep CLI serially and on 4 workers and requires the
 # outputs to be byte-identical (the exec determinism contract), plus
-# basic shape checks on the CSV and JSON output.
+# basic shape checks on the CSV and JSON output.  Then the sweep <-> sim
+# parity gate: every row re-runs through tbcs_sim with the row's seed and
+# the same model flags, and must report the same message count (exactly)
+# and the same skews (at tbcs_sim's printed precision).
 #
-# Usage: smoke_sweep.sh /path/to/tbcs_sweep
+# Usage: smoke_sweep.sh /path/to/tbcs_sweep /path/to/tbcs_sim
 set -euo pipefail
 
-SWEEP_BIN="${1:?usage: smoke_sweep.sh /path/to/tbcs_sweep}"
+SWEEP_BIN="${1:?usage: smoke_sweep.sh /path/to/tbcs_sweep /path/to/tbcs_sim}"
+SIM_BIN="${2:?usage: smoke_sweep.sh /path/to/tbcs_sweep /path/to/tbcs_sim}"
 TMPDIR_SMOKE="$(mktemp -d)"
 trap 'rm -rf "$TMPDIR_SMOKE"' EXIT
 
-COMMON_ARGS=(--topology ring --nodes 8 --param eps --values 0.01,0.02
-             --param2 delay --values2 0.5,1 --replicas 2
-             --duration 40 --seed 7)
+# Seed-sensitive adversaries (the sweep's default square/hiding pair is
+# seed-independent, so it could not tell a wrong seed apart), passed
+# explicitly because the two tools default to different models.
+MODEL_ARGS=(--topology ring --nodes 8 --duration 40
+            --drift walk --delays uniform)
+COMMON_ARGS=("${MODEL_ARGS[@]}" --param eps --values 0.01,0.02
+             --param2 delay --values2 0.5,1 --replicas 2 --seed 7)
 
 "$SWEEP_BIN" "${COMMON_ARGS[@]}" --jobs 1 > "$TMPDIR_SMOKE/serial.csv"
 "$SWEEP_BIN" "${COMMON_ARGS[@]}" --jobs 4 > "$TMPDIR_SMOKE/parallel.csv"
@@ -53,4 +61,40 @@ if "$SWEEP_BIN" --no-such-flag >/dev/null 2>&1; then
   exit 1
 fi
 
-echo "smoke_sweep: OK (8 runs, serial == 4 workers, CSV + JSON)"
+# Sweep <-> sim parity.  Row seeds are derived 64-bit values, so this also
+# gates the --seed parser: a seed that wraps replays a different run.
+# The CSV prints skews to 6 decimals and tbcs_sim to 4, so they must
+# agree within half a unit in tbcs_sim's last place (plus the CSV's).
+sim_value() {  # sim_value <table file> <metric words...>
+  local file="$1"; shift
+  awk -v want="$*" '{
+      line = $0; sub(/^ +/, "", line)
+      if (index(line, want " ") == 1) {
+        rest = substr(line, length(want) + 1); sub(/^ +/, "", rest)
+        if (rest ~ /^[0-9.]+$/) print rest
+      }
+    }' "$file"
+}
+close_enough() {  # close_enough <csv value> <sim value>
+  awk -v a="$1" -v b="$2" 'BEGIN { d = a - b; if (d < 0) d = -d;
+                                   exit !(d <= 0.0000505) }'
+}
+tail -n +2 "$TMPDIR_SMOKE/serial.csv" |
+while IFS=, read -r eps delay replica seed gskew lskew _gb _lb msgs _rest; do
+  row="eps=$eps delay=$delay replica=$replica seed=$seed"
+  "$SIM_BIN" "${MODEL_ARGS[@]}" --eps "$eps" --delay "$delay" \
+      --seed "$seed" > "$TMPDIR_SMOKE/sim.txt"
+  sim_msgs="$(sim_value "$TMPDIR_SMOKE/sim.txt" messages)"
+  sim_g="$(sim_value "$TMPDIR_SMOKE/sim.txt" global skew)"
+  sim_l="$(sim_value "$TMPDIR_SMOKE/sim.txt" local skew)"
+  if [[ "$sim_msgs" != "$msgs" ]]; then
+    echo "FAIL: $row: sweep reports $msgs messages, tbcs_sim $sim_msgs" >&2
+    exit 1
+  fi
+  if ! close_enough "$gskew" "$sim_g" || ! close_enough "$lskew" "$sim_l"; then
+    echo "FAIL: $row: sweep skews $gskew/$lskew, tbcs_sim $sim_g/$sim_l" >&2
+    exit 1
+  fi
+done
+
+echo "smoke_sweep: OK (8 runs, serial == 4 workers, CSV + JSON, sweep == sim per row)"

@@ -71,14 +71,6 @@ void SkewTracker::attach(sim::Simulator& sim) {
   sim.set_observer([this](const sim::Simulator& s, double t) { observe(s, t); });
 }
 
-void SkewTracker::attach_windowed(sim::Simulator& sim) {
-  sim.set_window_observer(
-      [this](const sim::Simulator& s, double t,
-             const std::vector<sim::Simulator::WindowTouch>& touched) {
-        observe_window(s, t, touched);
-      });
-}
-
 const std::vector<SkewTracker::Sample>& SkewTracker::series() const {
   if (series_dirty_) {
     series_cache_.clear();

@@ -160,29 +160,17 @@ class SkewTracker {
   SkewTracker(const sim::Simulator& sim, Options opt);
   explicit SkewTracker(const sim::Simulator& sim);
 
-  /// Installs this tracker as the simulator's observer.
+  /// Installs this tracker as the per-event observer (serial engine);
+  /// dyn::attach_dyn_observers picks per-event or per-window by engine.
   void attach(sim::Simulator& sim);
-
-  /// Installs this tracker as the simulator's *window* observer (sharded
-  /// engine): one sample per window barrier, folding the barrier's
-  /// touched-node set.  Because the barrier grid and the touched sets are
-  /// shard-count invariant, so is every tracker output.
-  void attach_windowed(sim::Simulator& sim);
-
-  /// attach_windowed() when the simulator is sharded, attach() otherwise.
-  void attach_auto(sim::Simulator& sim) {
-    if (sim.shards() > 0) {
-      attach_windowed(sim);
-    } else {
-      attach(sim);
-    }
-  }
 
   /// Processes one sample at time t (called by the observer).
   void observe(const sim::Simulator& sim, double t);
 
   /// Processes one window-barrier sample: like observe(), but folds the
-  /// whole touched-node set instead of Simulator::last_event().
+  /// whole touched-node set instead of Simulator::last_event().  The
+  /// barrier grid and touched sets are shard-count invariant, and so is
+  /// every tracker output.
   void observe_window(const sim::Simulator& sim, double t,
                       const std::vector<sim::Simulator::WindowTouch>& touched);
 

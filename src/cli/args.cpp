@@ -1,6 +1,8 @@
 #include "cli/args.hpp"
 
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 namespace tbcs::cli {
 
@@ -49,58 +51,85 @@ void ArgParser::parse(const std::vector<std::string>& args) {
   }
 }
 
-std::string ArgParser::get_string(const std::string& key,
-                                  const std::string& fallback) {
+ArgParser::Entry* ArgParser::lookup(const std::string& key) {
   queried_.insert(key);
   const auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second.value;
+  return it == values_.end() ? nullptr : &it->second;
+}
+
+void ArgParser::reject(const std::string& key, const std::string& what,
+                       const std::string& value) {
+  errors_.push_back("flag --" + key + " expects " + what + ", got '" +
+                    value + "'");
+}
+
+std::string ArgParser::get_string(const std::string& key,
+                                  const std::string& fallback) {
+  const Entry* e = lookup(key);
+  return e == nullptr ? fallback : e->value;
 }
 
 double ArgParser::get_double(const std::string& key, double fallback) {
-  queried_.insert(key);
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
+  const Entry* e = lookup(key);
+  if (e == nullptr) return fallback;
   char* end = nullptr;
-  const double v = std::strtod(it->second.value.c_str(), &end);
-  if (end == it->second.value.c_str() || *end != '\0') {
-    errors_.push_back("flag --" + key + " expects a number, got '" +
-                      it->second.value + "'");
+  const double v = std::strtod(e->value.c_str(), &end);
+  if (end == e->value.c_str() || *end != '\0') {
+    reject(key, "a number", e->value);
     return fallback;
   }
   return v;
 }
 
 int ArgParser::get_int(const std::string& key, int fallback) {
-  queried_.insert(key);
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
+  const Entry* e = lookup(key);
+  if (e == nullptr) return fallback;
   char* end = nullptr;
-  const long v = std::strtol(it->second.value.c_str(), &end, 10);
-  if (end == it->second.value.c_str() || *end != '\0') {
-    errors_.push_back("flag --" + key + " expects an integer, got '" +
-                      it->second.value + "'");
+  errno = 0;
+  const long long v = std::strtoll(e->value.c_str(), &end, 10);
+  if (end == e->value.c_str() || *end != '\0' || errno == ERANGE ||
+      v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    reject(key, "an integer in int range", e->value);
     return fallback;
   }
   return static_cast<int>(v);
 }
 
+std::uint64_t ArgParser::get_u64(const std::string& key,
+                                 std::uint64_t fallback) {
+  const Entry* e = lookup(key);
+  if (e == nullptr) return fallback;
+  const std::string& s = e->value;
+  // strtoull accepts a sign (and wraps "-1"), so demand a leading digit.
+  const bool digit = !s.empty() && s[0] >= '0' && s[0] <= '9';
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = digit ? std::strtoull(s.c_str(), &end, 10) : 0;
+  if (!digit || *end != '\0' || errno == ERANGE) {
+    reject(key,
+           errno == ERANGE ? "an integer below 2^64"
+                           : "an unsigned decimal integer",
+           s);
+    return fallback;
+  }
+  return v;
+}
+
 bool ArgParser::get_bool(const std::string& key, bool fallback) {
-  queried_.insert(key);
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  Entry& e = it->second;
-  if (is_true_literal(e.value)) return true;
-  if (is_false_literal(e.value)) return false;
-  if (e.from_next_token) {
+  Entry* e = lookup(key);
+  if (e == nullptr) return fallback;
+  if (is_true_literal(e->value)) return true;
+  if (is_false_literal(e->value)) return false;
+  if (e->from_next_token) {
     // "--flag token" where token is no boolean literal: the token was a
     // positional argument, not the flag's value.  Reclassify: the flag is
     // bare boolean true, the token is reported as unexpected.
-    errors_.push_back("unexpected argument: " + e.value);
-    e = Entry{"true", false};
+    errors_.push_back("unexpected argument: " + e->value);
+    *e = Entry{"true", false};
     return true;
   }
-  errors_.push_back("flag --" + key + " expects a boolean, got '" + e.value +
-                    "'");
+  reject(key, "a boolean", e->value);
   return fallback;
 }
 

@@ -15,6 +15,7 @@
 //    "extra" as help's value.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -30,7 +31,11 @@ class ArgParser {
   /// Value lookups; each records the key as known.
   std::string get_string(const std::string& key, const std::string& fallback);
   double get_double(const std::string& key, double fallback);
+  /// Rejects values outside int range (no wrapping).
   int get_int(const std::string& key, int fallback);
+  /// Unsigned 64-bit decimal (seeds): rejects a sign, overflow and
+  /// trailing junk.
+  std::uint64_t get_u64(const std::string& key, std::uint64_t fallback);
   bool get_bool(const std::string& key, bool fallback = false);
 
   bool has(const std::string& key) const { return values_.count(key) > 0; }
@@ -52,6 +57,11 @@ class ArgParser {
   };
 
   void parse(const std::vector<std::string>& args);
+  /// Marks `key` as known; its entry, or nullptr when absent.
+  Entry* lookup(const std::string& key);
+  /// Records "flag --key expects <what>, got '<value>'".
+  void reject(const std::string& key, const std::string& what,
+              const std::string& value);
 
   std::map<std::string, Entry> values_;
   std::set<std::string> queried_;

@@ -39,16 +39,14 @@ void apply_model_flags(ArgParser& args, ExperimentConfig& cfg) {
   cfg.delays = args.get_string("delays", cfg.delays);
   cfg.band_min = args.get_double("band-min", cfg.band_min);
   cfg.duration = args.get_double("duration", cfg.duration);
-  cfg.seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<int>(cfg.seed)));
+  cfg.seed = args.get_u64("seed", cfg.seed);
   cfg.wake_all = args.get_bool("wake-all", cfg.wake_all);
   cfg.per_distance = args.get_bool("per-distance", cfg.per_distance);
   cfg.shards = args.get_int("shards", cfg.shards);
   cfg.partition = args.get_string("partition", cfg.partition);
   cfg.min_shard_nodes = args.get_int("shards-min-nodes", cfg.min_shard_nodes);
   cfg.faults_file = args.get_string("faults", cfg.faults_file);
-  cfg.fault_seed = static_cast<std::uint64_t>(
-      args.get_int("fault-seed", static_cast<int>(cfg.fault_seed)));
+  cfg.fault_seed = args.get_u64("fault-seed", cfg.fault_seed);
   cfg.silence_timeout = args.get_double("silence-timeout", cfg.silence_timeout);
   cfg.influence_bound = args.get_double("influence-bound", cfg.influence_bound);
   cfg.ftgcs_f = args.get_int("ftgcs-f", cfg.ftgcs_f);
@@ -66,8 +64,7 @@ void apply_model_flags(ArgParser& args, ExperimentConfig& cfg) {
   cfg.churn_stop = args.get_double("churn-stop", cfg.churn_stop);
   cfg.churn_min_present =
       args.get_int("churn-min-present", cfg.churn_min_present);
-  cfg.churn_seed = static_cast<std::uint64_t>(
-      args.get_int("churn-seed", static_cast<int>(cfg.churn_seed)));
+  cfg.churn_seed = args.get_u64("churn-seed", cfg.churn_seed);
   cfg.churn_repartition =
       args.get_bool("churn-repartition", cfg.churn_repartition);
   cfg.churn_cut_growth =

@@ -11,15 +11,14 @@
 // bound stabilization by — so experiments can tabulate measured against
 // predicted.
 //
-// The probe shares the simulator's single observer slot with SkewTracker
-// (which owns it by convention); attach_dyn_observers composes the two —
-// one barrier-driven callback when sharded, the per-event observer
-// otherwise.  Everything the probe reports derives from barrier-time
-// clock reads, which are shard-count invariant.
+// The probe shares the simulator's single observer slot with SkewTracker;
+// attach_dyn_observers composes the two — one barrier-driven callback
+// when sharded, the per-event observer otherwise.  Everything the probe
+// reports derives from barrier-time clock reads, which are shard-count
+// invariant.
 #pragma once
 
 #include <cmath>
-#include <cstdint>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -39,11 +38,6 @@ class StabilizationProbe {
     double bound = 0.0;
     /// For the prediction skew_at_insert / mu; <= 0 leaves it NaN.
     double mu = 0.0;
-    /// Sample only every `stride`-th observer call (stabilization times
-    /// coarsen and short-lived windows may go unsampled; counters that
-    /// depend on sampling stop being cadence-invariant).  1 = exact.
-    std::uint64_t stride = 1;
-
     /// History backend.  Exact (default) retains every Record forever —
     /// bit-identical to the pre-backend probe.  Stair folds finished
     /// records (t past t_end) into running aggregates plus a bounded
@@ -51,7 +45,7 @@ class StabilizationProbe {
     /// O(live edges + budget) under sustained churn; records() then only
     /// exposes the unfolded suffix, while the aggregate accessors keep
     /// reporting over everything.
-    obs::HistoryConfig history;
+    obs::HistoryConfig history{};
 
     /// When > 0, sample only on the fixed time grid k * sample_grid
     /// (first observer call at/after each grid point; same arithmetic as
@@ -128,7 +122,6 @@ class StabilizationProbe {
   Options opt_;
   std::vector<Record> records_;
   std::size_t live_floor_ = 0;  // records before this are past t_end
-  std::uint64_t calls_ = 0;     // observer calls seen (stride counter)
   double next_grid_t_ = 0.0;    // next sample_grid point (grid mode only)
 
   // ---- folded aggregates (stair mode) -------------------------------------
@@ -144,9 +137,10 @@ class StabilizationProbe {
   std::unique_ptr<obs::HistoryStore> history_;
 };
 
-/// Installs tracker and/or probe as the simulator's (window) observer in
-/// one composed callback — the simulator has a single observer slot and
-/// SkewTracker::attach* would otherwise claim it whole.  Either pointer
+/// Installs tracker and/or probe as the simulator's observer in one
+/// composed callback: the window observer when the simulator is sharded,
+/// the per-event observer otherwise.  This is the one place that makes
+/// that choice (cli::ExperimentRun attaches through it).  Either pointer
 /// may be null.  Both must outlive the simulator's runs.
 void attach_dyn_observers(sim::Simulator& sim,
                           analysis::SkewTracker* tracker,

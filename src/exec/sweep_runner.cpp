@@ -5,10 +5,8 @@
 
 #include <cmath>
 
-#include "analysis/skew_tracker.hpp"
-#include "analysis/table.hpp"
+#include "cli/experiment_run.hpp"
 #include "exec/thread_pool.hpp"
-#include "fault/fault_scheduler.hpp"
 #include "obs/metrics.hpp"
 
 namespace tbcs::exec {
@@ -48,56 +46,12 @@ RunResult SweepRunner::run_one(const RunSpec& spec, std::size_t index,
     cfg.seed = r.seed;
 
     auto built = cli::build_experiment(cfg);
-    r.diameter = built.graph->diameter();
-    r.global_bound =
-        built.params.global_skew_bound(r.diameter, cfg.eps, cfg.delay);
-    r.local_bound =
-        built.params.local_skew_bound(r.diameter, cfg.eps, cfg.delay);
-
-    analysis::SkewTracker::Options topt;
-    topt.audit_epsilon = opt.audit_epsilon;
-    topt.stride = opt.tracker_stride;
-    const obs::HistoryConfig hcfg = cli::resolve_history(cfg);
-    const bool stair = hcfg.backend == obs::HistoryConfig::Backend::kStair;
-    topt.history = hcfg;
-    if (stair) {
-      // Grid-sample on the probe grid (armed every cfg.delay by
-      // build_experiment) so the sketch is a pure function of the spec —
-      // byte-identical across --jobs and --shards.  Strided sampling is
-      // superseded by the grid.
-      topt.stride = 1;
-      topt.sample_grid = cfg.delay;
-      topt.error_rate_span =
-          (1.0 + cfg.eps) * (1.0 + built.params.mu) - (1.0 - cfg.eps);
-    }
-    const bool faulty = !built.timeline.empty();
-    if (faulty) {
-      topt.recovery_global_bound = r.global_bound;
-      topt.recovery_local_bound = r.local_bound;
-      // Classify on the probe grid (armed every cfg.delay by
-      // build_experiment): recovery/stabilization metrics then match the
-      // serial engine byte-for-byte under --shards.
-      topt.recovery_classify_interval = cfg.delay;
-      // Correct-subgraph figures only: liars are not part of the guarantee.
-      for (const fault::ByzantineSpec& s : built.timeline.byzantine) {
-        topt.exclude.push_back(s.node);
-      }
-    }
-    analysis::SkewTracker tracker(*built.simulator, topt);
-    tracker.attach_auto(*built.simulator);
-    fault::FaultScheduler faults(built.timeline);
-    if (faulty) {
-      faults.set_listener([&tracker](const fault::FaultEvent& e, double t) {
-        if (e.kind == fault::FaultKind::kScramble) {
-          tracker.note_scramble(t);
-        } else {
-          tracker.note_fault(t);
-        }
-      });
-      faults.run(*built.simulator, cfg.duration);
-    } else {
-      built.simulator->run_until(cfg.duration);
-    }
+    cli::ExperimentRun run(built, cfg, {.audit_epsilon = opt.audit_epsilon});
+    run.run();
+    const analysis::SkewTracker& tracker = run.tracker();
+    r.diameter = run.diameter();
+    r.global_bound = run.global_bound();
+    r.local_bound = run.local_bound();
 
     r.global_skew = tracker.max_global_skew();
     r.local_skew = tracker.max_local_skew();
@@ -118,7 +72,7 @@ RunResult SweepRunner::run_one(const RunSpec& spec, std::size_t index,
         {"queue_pops", static_cast<double>(qs.pops)},
         {"timer_cancels", static_cast<double>(sim.timer_cancels())},
     };
-    if (stair) {
+    if (run.stair()) {
       // Extra telemetry columns ride along only on non-default backends,
       // so existing exact-mode CSV/JSON bytes are untouched.
       r.metrics.emplace_back("skew_error_bound", tracker.skew_error_bound());
@@ -130,10 +84,10 @@ RunResult SweepRunner::run_one(const RunSpec& spec, std::size_t index,
           static_cast<double>(tracker.global_history().windows().size() +
                               tracker.local_history().windows().size()));
     }
-    if (faulty) {
+    if (const fault::FaultScheduler* faults = run.faults()) {
       const double rec = tracker.recovery_time();
       r.metrics.emplace_back("faults_applied",
-                             static_cast<double>(faults.applied()));
+                             static_cast<double>(faults->applied()));
       r.metrics.emplace_back("crashes", static_cast<double>(sim.crashes()));
       r.metrics.emplace_back("recoveries",
                              static_cast<double>(sim.recoveries()));

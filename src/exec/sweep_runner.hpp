@@ -26,11 +26,8 @@ struct SweepOptions {
   /// Root of the per-run seed derivation (see derive_seed()).
   std::uint64_t base_seed = 1;
 
-  /// Forwarded to SkewTracker::Options::audit_epsilon (<= 0 disables).
+  /// Forwarded to cli::ExperimentRun (<= 0 disables the envelope audit).
   double audit_epsilon = 0.0;
-
-  /// Tracker sampling stride (1 = exact maxima).
-  std::uint64_t tracker_stride = 1;
 };
 
 class SweepRunner {

@@ -8,15 +8,12 @@
 
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "analysis/skew_tracker.hpp"
 #include "cli/experiment_config.hpp"
-#include "dyn/stabilization_probe.hpp"
-#include "fault/fault_scheduler.hpp"
+#include "cli/experiment_run.hpp"
 #include "obs/flight_recorder.hpp"
 #include "sim/recorder.hpp"
 #include "sim/simulator.hpp"
@@ -38,18 +35,16 @@ struct Outcome {
   std::size_t probe_memory = 0;
 };
 
-// Mirrors the tbcs_sim wiring: resolve_history + grid sampling on the
-// probe grid when stair, recording policies wrapped around the built
-// adversary, fault/churn drivers as configured.
+// Recording policies wrapped around the built adversary, then the
+// shipped run path (cli::ExperimentRun, shared with tbcs_sim and the
+// sweep runner): resolve_history, grid sampling on the probe grid when
+// stair, fault/churn pacing as configured.
 Outcome run_case(cli::ExperimentConfig cfg, const std::string& backend,
                  int shards) {
   cfg.obs_backend = backend;
   cfg.obs_memory_kb = 16;
   cfg.shards = shards;
   cfg.min_shard_nodes = 0;  // exercise multi-shard runs on tiny graphs
-
-  const obs::HistoryConfig hcfg = cli::resolve_history(cfg);
-  const bool stair = hcfg.backend == obs::HistoryConfig::Backend::kStair;
 
   auto built = cli::build_experiment(cfg);
   sim::Simulator& sim = *built.simulator;
@@ -69,36 +64,10 @@ Outcome run_case(cli::ExperimentConfig cfg, const std::string& backend,
   recorder.set_num_nodes(static_cast<std::uint64_t>(built.graph->num_nodes()));
   sim.set_flight_recorder(&recorder);
 
-  analysis::SkewTracker::Options topt;
-  topt.history = hcfg;
-  if (stair) {
-    topt.sample_grid = cfg.delay;
-    topt.error_rate_span =
-        (1.0 + cfg.eps) * (1.0 + built.params.mu) - (1.0 - cfg.eps);
-  }
-  analysis::SkewTracker tracker(sim, topt);
-
-  std::optional<dyn::StabilizationProbe> probe;
-  if (!built.churn.empty()) {
-    dyn::StabilizationProbe::Options popt;
-    popt.bound = built.params.local_skew_bound(built.graph->diameter(),
-                                               cfg.eps, cfg.delay);
-    popt.mu = built.params.mu;
-    popt.history = hcfg;
-    if (stair) popt.sample_grid = cfg.delay;
-    probe.emplace(popt);
-    probe->preload(built.churn);
-    dyn::attach_dyn_observers(sim, &tracker, &*probe);
-  } else {
-    tracker.attach_auto(sim);
-  }
-
-  if (!built.timeline.empty()) {
-    fault::FaultScheduler faults(built.timeline);
-    faults.run(sim, cfg.duration);
-  } else {
-    sim.run_until(cfg.duration);
-  }
+  cli::ExperimentRun run(built, cfg, {});
+  run.run();
+  const analysis::SkewTracker& tracker = run.tracker();
+  const dyn::StabilizationProbe* probe = run.probe();
 
   Outcome o;
   o.global = tracker.max_global_skew();

@@ -106,7 +106,83 @@ TEST(ArgParser, BoolEqualsNonLiteralIsError) {
   EXPECT_NE(p.errors()[0].find("expects a boolean"), std::string::npos);
 }
 
+TEST(ArgParser, IntOutOfRangeIsErrorNotWrapped) {
+  // Regression: strtol then static_cast<int> ran --nodes 4294967312 as
+  // n = 16 and --seed 4294967297 as seed 1.
+  ArgParser p({"--nodes", "4294967312", "--rows", "4294967297", "--cols",
+               "99999999999999999999", "--dims", "2147483647", "--arity",
+               "-2147483648"});
+  EXPECT_EQ(p.get_int("nodes", 7), 7);
+  EXPECT_EQ(p.get_int("rows", 3), 3);
+  EXPECT_EQ(p.get_int("cols", 5), 5);
+  EXPECT_EQ(p.get_int("dims", 0), 2147483647);
+  EXPECT_EQ(p.get_int("arity", 0), -2147483647 - 1);
+  ASSERT_EQ(p.errors().size(), 3u);
+  EXPECT_EQ(p.errors()[0],
+            "flag --nodes expects an integer in int range, got "
+            "'4294967312'");
+}
+
+TEST(ArgParser, U64ParsesTheFullSeedRange) {
+  ArgParser p({"--seed", "16834447057089888969", "--a", "18446744073709551615",
+               "--b", "4294967297", "--c", "0"});
+  EXPECT_EQ(p.get_u64("seed", 1), 16834447057089888969ULL);
+  EXPECT_EQ(p.get_u64("a", 1), 18446744073709551615ULL);
+  EXPECT_EQ(p.get_u64("b", 1), 4294967297ULL);
+  EXPECT_EQ(p.get_u64("c", 1), 0u);
+  EXPECT_EQ(p.get_u64("absent", 9), 9u);
+  EXPECT_TRUE(p.ok());
+}
+
+TEST(ArgParser, U64RejectsSignOverflowAndJunk) {
+  ArgParser p({"--neg", "-1", "--plus", "+5", "--big",
+               "18446744073709551616", "--junk", "12abc", "--empty="});
+  EXPECT_EQ(p.get_u64("neg", 1), 1u);
+  EXPECT_EQ(p.get_u64("plus", 1), 1u);
+  EXPECT_EQ(p.get_u64("big", 1), 1u);
+  EXPECT_EQ(p.get_u64("junk", 1), 1u);
+  EXPECT_EQ(p.get_u64("empty", 1), 1u);
+  ASSERT_EQ(p.errors().size(), 5u);
+  EXPECT_EQ(p.errors()[0],
+            "flag --neg expects an unsigned decimal integer, got '-1'");
+  EXPECT_EQ(p.errors()[1],
+            "flag --plus expects an unsigned decimal integer, got '+5'");
+  EXPECT_EQ(p.errors()[2],
+            "flag --big expects an integer below 2^64, got "
+            "'18446744073709551616'");
+  EXPECT_EQ(p.errors()[3],
+            "flag --junk expects an unsigned decimal integer, got '12abc'");
+}
+
 // ---- ExperimentConfig -------------------------------------------------------
+
+// The three seed flags take the whole 64-bit range, so a tbcs_sweep row's
+// derived seed replays in tbcs_sim; distinct seeds stay distinct.
+TEST(ExperimentConfig, SeedFlagsAre64Bit) {
+  ArgParser p({"--seed", "16834447057089888969", "--fault-seed",
+               "17911839290282890590", "--churn-seed", "4294967297"});
+  ExperimentConfig cfg;
+  apply_model_flags(p, cfg);
+  EXPECT_TRUE(p.ok());
+  EXPECT_EQ(cfg.seed, 16834447057089888969ULL);
+  EXPECT_EQ(cfg.fault_seed, 17911839290282890590ULL);
+  EXPECT_EQ(cfg.churn_seed, 4294967297ULL);
+
+  ArgParser q({"--seed", "4294967295"});
+  ExperimentConfig c2;
+  apply_model_flags(q, c2);
+  EXPECT_EQ(c2.seed, 4294967295ULL);
+}
+
+TEST(ExperimentConfig, NegativeSeedAndHugeNodeCountAreErrors) {
+  ArgParser p({"--seed", "-1", "--nodes", "4294967312"});
+  ExperimentConfig cfg;
+  apply_model_flags(p, cfg);
+  EXPECT_FALSE(p.ok());
+  EXPECT_EQ(p.errors().size(), 2u);
+  EXPECT_EQ(cfg.seed, 1u);    // untouched default
+  EXPECT_EQ(cfg.nodes, 16);   // untouched default, not 4294967312 mod 2^32
+}
 
 TEST(ExperimentConfig, BuildsAllTopologies) {
   for (const char* topo : {"path", "ring", "star", "complete", "grid", "torus",

@@ -17,10 +17,8 @@
 #include <string>
 #include <vector>
 
-#include "analysis/skew_tracker.hpp"
 #include "cli/experiment_config.hpp"
-#include "fault/fault_scheduler.hpp"
-#include "sim/simulator.hpp"
+#include "cli/experiment_run.hpp"
 
 namespace tbcs {
 namespace {
@@ -71,36 +69,16 @@ cli::ExperimentConfig chaos_config(const std::string& plan) {
   return cfg;
 }
 
-// Mirrors the tbcs_sim / sweep-runner harness: recovery bounds from the
-// paper theorems, Byzantine nodes excluded, classification on the probe
-// grid.
+// Runs through the shipped run path (cli::ExperimentRun, shared with
+// tbcs_sim and the sweep runner): recovery bounds from the paper
+// theorems, Byzantine nodes excluded, classification on the probe grid.
 FaultMetrics run_case(cli::ExperimentConfig cfg, int shards) {
   cfg.shards = shards;
   auto built = cli::build_experiment(cfg);
-  const int d = built.graph->diameter();
+  cli::ExperimentRun run(built, cfg, {});
+  run.run();
 
-  analysis::SkewTracker::Options topt;
-  topt.recovery_global_bound =
-      built.params.global_skew_bound(d, cfg.eps, cfg.delay);
-  topt.recovery_local_bound =
-      built.params.local_skew_bound(d, cfg.eps, cfg.delay);
-  topt.recovery_classify_interval = cfg.delay;
-  for (const fault::ByzantineSpec& s : built.timeline.byzantine) {
-    topt.exclude.push_back(s.node);
-  }
-  analysis::SkewTracker tracker(*built.simulator, topt);
-  tracker.attach_auto(*built.simulator);
-
-  fault::FaultScheduler faults(built.timeline);
-  faults.set_listener([&tracker](const fault::FaultEvent& e, double t) {
-    if (e.kind == fault::FaultKind::kScramble) {
-      tracker.note_scramble(t);
-    } else {
-      tracker.note_fault(t);
-    }
-  });
-  faults.run(*built.simulator, cfg.duration);
-
+  const analysis::SkewTracker& tracker = run.tracker();
   FaultMetrics m;
   m.global_skew = tracker.max_global_skew();
   m.local_skew = tracker.max_local_skew();
@@ -109,7 +87,7 @@ FaultMetrics run_case(cli::ExperimentConfig cfg, int shards) {
   m.crashes = built.simulator->crashes();
   m.recoveries = built.simulator->recoveries();
   m.scrambles = built.simulator->scrambles();
-  m.faults_applied = faults.applied();
+  m.faults_applied = run.faults()->applied();
   m.events = built.simulator->events_processed();
   return m;
 }

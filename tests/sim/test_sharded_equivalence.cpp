@@ -21,6 +21,7 @@
 
 #include "analysis/skew_tracker.hpp"
 #include "cli/experiment_config.hpp"
+#include "dyn/stabilization_probe.hpp"
 #include "fault/fault_injection.hpp"
 #include "fault/fault_scheduler.hpp"
 #include "graph/topologies.hpp"
@@ -291,7 +292,7 @@ TEST(ShardedEquivalenceAudit, AuditOracleAcceptsShardedRuns) {
     topt.mode = analysis::SkewTracker::Mode::kAuditOracle;
     topt.audit_epsilon = cfg.eps;
     analysis::SkewTracker tracker(*built.simulator, topt);
-    tracker.attach_auto(*built.simulator);
+    dyn::attach_dyn_observers(*built.simulator, &tracker, nullptr);
     ASSERT_NO_THROW(built.simulator->run_until(cfg.duration));
     EXPECT_GT(tracker.max_global_skew(), 0.0);
   }

@@ -12,18 +12,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <optional>
 
 #include "analysis/ascii_chart.hpp"
 #include "analysis/counters.hpp"
-#include "analysis/skew_tracker.hpp"
 #include "analysis/table.hpp"
 #include "analysis/trace.hpp"
 #include "cli/args.hpp"
 #include "cli/experiment_config.hpp"
-#include "dyn/churn_driver.hpp"
-#include "dyn/stabilization_probe.hpp"
-#include "fault/fault_scheduler.hpp"
+#include "cli/experiment_run.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "sim/recorder.hpp"
@@ -147,6 +143,16 @@ observe:    --obs-backend B    telemetry history backend: exact (default;
 display:    --chart            render the skew time series in the terminal
 )";
 
+std::string count(std::uint64_t v) {
+  return tbcs::analysis::Table::integer(static_cast<long long>(v));
+}
+
+/// v to `digits` decimals, or `none` when v is NaN.
+std::string num_or(double v, int digits, const char* none) {
+  return std::isnan(v) ? std::string(none)
+                       : tbcs::analysis::Table::num(v, digits);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -189,9 +195,7 @@ int main(int argc, char** argv) {
   }
 
   try {
-    const obs::HistoryConfig hcfg = cli::resolve_history(cfg);
-    const bool stair = hcfg.backend == obs::HistoryConfig::Backend::kStair;
-
+    cli::resolve_history(cfg);  // reject a bad --obs-backend before building
     auto built = cli::build_experiment(cfg);
     sim::Simulator& sim = *built.simulator;
     if (progress_secs > 0.0) sim.set_progress(progress_secs);
@@ -243,31 +247,6 @@ int main(int argc, char** argv) {
       sim.set_flight_recorder(&recorder);
     }
 
-    // Exact diameter is O(n^2) BFS; past ~64k nodes switch to the
-    // two-sweep estimate (exact on trees/paths, lower bound otherwise)
-    // so million-node runs don't stall before the first event.
-    const int d = built.graph->num_nodes() > 65536
-                      ? built.graph->diameter_2sweep()
-                      : built.graph->diameter();
-    const double g_bound =
-        built.params.global_skew_bound(d, cfg.eps, cfg.delay);
-    const double l_bound = built.params.local_skew_bound(d, cfg.eps, cfg.delay);
-
-    analysis::SkewTracker::Options topt;
-    if (audit_oracle) topt.mode = analysis::SkewTracker::Mode::kAuditOracle;
-    topt.audit_epsilon = cfg.eps;
-    topt.history = hcfg;
-    if (stair) {
-      // Sample on the probe grid k * delay — the same instants in every
-      // engine (serial probe events, sharded probe barriers), so the
-      // sketch is byte-identical across --shards.  Between grid
-      // points logical rates stay within [1-eps, (1+eps)(1+mu)], which
-      // bounds how far a skew extremum can drift: that span times the
-      // grid step is the advertised error bound.
-      topt.sample_grid = cfg.delay;
-      topt.error_rate_span =
-          (1.0 + cfg.eps) * (1.0 + built.params.mu) - (1.0 - cfg.eps);
-    }
     // The per-distance profile materializes all-pairs distances (O(n^2)
     // memory); refuse outright where that is gigabytes, instead of
     // thrashing for hours.
@@ -277,181 +256,89 @@ int main(int argc, char** argv) {
                    "summary / --series-csv for large runs.\n";
       return 2;
     }
-    topt.track_per_distance = cfg.per_distance;
-    // Stair mode: the grid drives the series cadence instead.
-    topt.series_interval = stair ? 0.0 : cfg.duration / 200.0;
-    if (!built.timeline.empty()) {
-      // "Recovered" = back inside the paper's envelope (Thm 5.5 / 5.10).
-      topt.recovery_global_bound = g_bound;
-      topt.recovery_local_bound = l_bound;
-      // Classify on the probe grid (build_experiment arms probes every
-      // cfg.delay), so recovery/stabilization times are byte-identical
-      // between the serial and sharded engines.
-      topt.recovery_classify_interval = cfg.delay;
-      // Liars are not part of the guarantee: every skew figure is over the
-      // correct subgraph only.
-      for (const fault::ByzantineSpec& s : built.timeline.byzantine) {
-        topt.exclude.push_back(s.node);
-      }
-    }
-    analysis::SkewTracker tracker(sim, topt);
+    cli::ExperimentRun run(built, cfg,
+                           {.audit_epsilon = cfg.eps,
+                            .series = true,
+                            .per_distance = cfg.per_distance,
+                            .audit_oracle = audit_oracle});
+    run.run();
+    const analysis::SkewTracker& tracker = run.tracker();
+    const dyn::StabilizationProbe* probe = run.probe();
+    const obs::HistoryConfig& hcfg = run.history();
 
-    // Churned runs share the observer slot between the tracker and the
-    // per-inserted-edge stabilization probe ("stabilized" = edge skew
-    // back inside the Thm 5.10 envelope, for good).
-    std::optional<dyn::StabilizationProbe> probe;
-    if (!built.churn.empty()) {
-      dyn::StabilizationProbe::Options popt;
-      popt.bound = cfg.stab_bound > 0.0 ? cfg.stab_bound : l_bound;
-      popt.mu = built.params.mu;
-      popt.history = hcfg;
-      if (stair) popt.sample_grid = cfg.delay;
-      probe.emplace(popt);
-      probe->preload(built.churn);
-      dyn::attach_dyn_observers(sim, &tracker, &*probe);
-    } else {
-      tracker.attach_auto(sim);
-    }
-
-    std::optional<fault::FaultScheduler> faults;
-    std::optional<dyn::ChurnDriver> churn_driver;
-    if (!built.timeline.empty()) {
-      // Faults own the pacing; churn ops (if any) are already installed
-      // and fire on their own, but no repartition driver runs.
-      faults.emplace(built.timeline);
-      faults->set_listener([&tracker](const fault::FaultEvent& e, double t) {
-        if (e.kind == fault::FaultKind::kScramble) {
-          tracker.note_scramble(t);
-        } else {
-          tracker.note_fault(t);
-        }
-      });
-      faults->run(sim, cfg.duration);
-    } else if (!built.churn.empty()) {
-      dyn::ChurnDriverOptions dopt;
-      dopt.check_interval = cfg.churn_check_interval > 0.0
-                                ? cfg.churn_check_interval
-                                : cfg.duration / 20.0;
-      dopt.cut_growth = cfg.churn_cut_growth;
-      dopt.repartition = cfg.churn_repartition;
-      churn_driver.emplace(sim, dopt);
-      churn_driver->run(cfg.duration);
-    } else {
-      sim.run_until(cfg.duration);
-    }
-
-    analysis::Table summary({"metric", "value"});
+    using analysis::Table;
+    Table summary({"metric", "value"});
     summary.add_row({"topology", cfg.topology + " (n=" +
                                      std::to_string(built.graph->num_nodes()) +
-                                     ", D=" + std::to_string(d) + ")"});
+                                     ", D=" + std::to_string(run.diameter()) + ")"});
     summary.add_row({"algorithm", cfg.algorithm});
     if (sim.shards() > 0) {
       const auto bal = sim.partition()->balance();
-      summary.add_row(
-          {"shards", std::to_string(sim.shards()) + " (" + cfg.partition +
-                         ", cut " + std::to_string(bal.cut_edges) + "/" +
-                         std::to_string(built.graph->num_edges()) +
-                         " edges, imbalance " +
-                         analysis::Table::num(bal.imbalance, 3) + ")"});
+      summary.add_row({"shards", std::to_string(sim.shards()) + " (" + cfg.partition +
+                                     ", cut " + std::to_string(bal.cut_edges) + "/" +
+                                     std::to_string(built.graph->num_edges()) +
+                                     " edges, imbalance " + Table::num(bal.imbalance, 3) + ")"});
     }
-    summary.add_row({"mu / H0 / kappa",
-                     analysis::Table::num(built.params.mu, 4) + " / " +
-                         analysis::Table::num(built.params.h0, 3) + " / " +
-                         analysis::Table::num(built.params.kappa, 3)});
-    summary.add_row({"duration", analysis::Table::num(sim.now(), 1)});
-    summary.add_row({"messages", analysis::Table::integer(
-                                     static_cast<long long>(sim.messages_delivered()))});
-    summary.add_row({"global skew", analysis::Table::num(tracker.max_global_skew(), 4)});
-    summary.add_row({"global bound G (Thm 5.5)", analysis::Table::num(g_bound, 4)});
-    summary.add_row({"local skew", analysis::Table::num(tracker.max_local_skew(), 4)});
-    summary.add_row({"local bound (Thm 5.10)", analysis::Table::num(l_bound, 4)});
-    summary.add_row({"envelope violation",
-                     analysis::Table::num(tracker.max_envelope_violation(), 6)});
-    summary.add_row({"rates seen", "[" + analysis::Table::num(tracker.min_logical_rate(), 4) +
-                                       ", " + analysis::Table::num(tracker.max_logical_rate(), 4) +
-                                       "]"});
-    if (stair) {
-      summary.add_row(
-          {"history backend",
+    summary.add_row({"mu / H0 / kappa", Table::num(built.params.mu, 4) + " / " +
+                                             Table::num(built.params.h0, 3) + " / " +
+                                             Table::num(built.params.kappa, 3)});
+    summary.add_row({"duration", Table::num(sim.now(), 1)});
+    summary.add_row({"messages", count(sim.messages_delivered())});
+    summary.add_row({"global skew", Table::num(tracker.max_global_skew(), 4)});
+    summary.add_row({"global bound G (Thm 5.5)", Table::num(run.global_bound(), 4)});
+    summary.add_row({"local skew", Table::num(tracker.max_local_skew(), 4)});
+    summary.add_row({"local bound (Thm 5.10)", Table::num(run.local_bound(), 4)});
+    summary.add_row({"envelope violation", Table::num(tracker.max_envelope_violation(), 6)});
+    summary.add_row({"rates seen", "[" + Table::num(tracker.min_logical_rate(), 4) + ", " +
+                                       Table::num(tracker.max_logical_rate(), 4) + "]"});
+    if (run.stair()) {
+      summary.add_row({"history backend",
            std::string(obs::history_backend_name(hcfg.backend)) + " (budget " +
                std::to_string(hcfg.memory_budget_bytes / 1024) + " KB, used " +
                std::to_string(tracker.history_memory_bytes()) +
                " B, skew err <= " +
-               analysis::Table::num(tracker.skew_error_bound(), 4) + ")"});
+               Table::num(tracker.skew_error_bound(), 4) + ")"});
     }
     if (!built.churn.empty()) {
-      summary.add_row(
-          {"churn ops",
-           analysis::Table::integer(
-               static_cast<long long>(built.churn.ops.size())) +
-               " (" +
-               analysis::Table::integer(static_cast<long long>(sim.joins())) +
-               " joins, " +
-               analysis::Table::integer(static_cast<long long>(sim.leaves())) +
-               " leaves)"});
-      if (churn_driver) {
+      summary.add_row({"churn ops", count(built.churn.ops.size()) + " (" +
+                                        count(sim.joins()) + " joins, " +
+                                        count(sim.leaves()) + " leaves)"});
+      if (const dyn::ChurnDriver* driver = run.churn_driver()) {
         summary.add_row(
             {"repartitions",
-             analysis::Table::integer(
-                 static_cast<long long>(sim.repartitions())) +
-                 " (live cut " +
-                 analysis::Table::num(churn_driver->last_cut_fraction(), 3) +
-                 ", baseline " +
-                 analysis::Table::num(churn_driver->baseline_cut_fraction(), 3) +
-                 ")"});
+             count(sim.repartitions()) + " (live cut " +
+                 Table::num(driver->last_cut_fraction(), 3) + ", baseline " +
+                 Table::num(driver->baseline_cut_fraction(), 3) + ")"});
       }
       if (probe && probe->insertions() > 0) {
-        summary.add_row({"edge insertions observed",
-                         analysis::Table::integer(static_cast<long long>(
-                             probe->insertions()))});
-        summary.add_row(
-            {"stabilized (within local bound)",
-             analysis::Table::integer(
-                 static_cast<long long>(probe->stabilized())) +
-                 " / " +
-                 analysis::Table::integer(
-                     static_cast<long long>(probe->insertions()))});
+        summary.add_row({"edge insertions observed", count(probe->insertions())});
+        summary.add_row({"stabilized (within local bound)",
+                         count(probe->stabilized()) + " / " +
+                             count(probe->insertions())});
         const double mean_s = probe->mean_stabilization_time();
-        const double mean_p = probe->mean_predicted_time();
-        summary.add_row({"stabilization time (mean/max)",
-                         (std::isnan(mean_s)
-                              ? std::string("n/a")
-                              : analysis::Table::num(mean_s, 2) + " / " +
-                                    analysis::Table::num(
-                                        probe->max_stabilization_time(), 2))});
+        summary.add_row(
+            {"stabilization time (mean/max)",
+             std::isnan(mean_s)
+                 ? std::string("n/a")
+                 : Table::num(mean_s, 2) + " / " +
+                       Table::num(probe->max_stabilization_time(), 2)});
         summary.add_row({"KLLO predicted (mean skew0/mu)",
-                         std::isnan(mean_p)
-                             ? std::string("n/a")
-                             : analysis::Table::num(mean_p, 2)});
+                         num_or(probe->mean_predicted_time(), 2, "n/a")});
       }
     }
-    if (faults) {
-      summary.add_row({"faults applied",
-                       analysis::Table::integer(
-                           static_cast<long long>(faults->applied()))});
+    if (const fault::FaultScheduler* faults = run.faults()) {
+      summary.add_row({"faults applied", count(faults->applied())});
       summary.add_row({"crashes / recoveries",
-                       analysis::Table::integer(
-                           static_cast<long long>(sim.crashes())) +
-                           " / " +
-                           analysis::Table::integer(
-                               static_cast<long long>(sim.recoveries()))});
-      summary.add_row({"messages dropped",
-                       analysis::Table::integer(static_cast<long long>(
-                           sim.messages_dropped()))});
-      const double rec = tracker.recovery_time();
-      summary.add_row({"last fault at",
-                       analysis::Table::num(tracker.last_fault_time(), 1)});
+                       count(sim.crashes()) + " / " + count(sim.recoveries())});
+      summary.add_row({"messages dropped", count(sim.messages_dropped())});
+      summary.add_row({"last fault at", Table::num(tracker.last_fault_time(), 1)});
       summary.add_row({"recovery time",
-                       std::isnan(rec) ? std::string("not recovered")
-                                       : analysis::Table::num(rec, 2)});
+                       num_or(tracker.recovery_time(), 2, "not recovered")});
       if (sim.scrambles() > 0) {
-        const double stab = tracker.stabilization_time();
-        summary.add_row({"scrambles applied",
-                         analysis::Table::integer(
-                             static_cast<long long>(sim.scrambles()))});
-        summary.add_row({"stabilization time",
-                         std::isnan(stab) ? std::string("not stabilized")
-                                          : analysis::Table::num(stab, 2)});
+        summary.add_row({"scrambles applied", count(sim.scrambles())});
+        summary.add_row(
+            {"stabilization time",
+             num_or(tracker.stabilization_time(), 2, "not stabilized")});
       }
     }
     summary.print(std::cout);
@@ -475,7 +362,7 @@ int main(int argc, char** argv) {
           reg.counter("churn.edges_stabilized").inc(probe->stabilized());
         }
       }
-      if (faults) {
+      if (const fault::FaultScheduler* faults = run.faults()) {
         reg.counter("fault.events_applied").inc(faults->applied());
         reg.counter("fault.crashes").inc(sim.crashes());
         reg.counter("fault.recoveries").inc(sim.recoveries());
@@ -490,26 +377,20 @@ int main(int argc, char** argv) {
         }
         if (built.channel) {
           reg.counter("fault.channel_dropped").inc(built.channel->dropped());
-          reg.counter("fault.channel_duplicated")
-              .inc(built.channel->duplicated());
-          reg.counter("fault.channel_corrupted")
-              .inc(built.channel->corrupted());
+          reg.counter("fault.channel_duplicated").inc(built.channel->duplicated());
+          reg.counter("fault.channel_corrupted").inc(built.channel->corrupted());
         }
       }
     }
 
     if (chart) {
-      std::cout << "\n";
       analysis::ChartOptions copt;
-      copt.label = "global skew";
-      copt.reference = g_bound;
-      analysis::render_skew_chart(std::cout, tracker.series(), /*local=*/false,
-                                  copt);
-      std::cout << "\n";
-      copt.label = "local skew";
-      copt.reference = l_bound;
-      analysis::render_skew_chart(std::cout, tracker.series(), /*local=*/true,
-                                  copt);
+      for (const bool local : {false, true}) {
+        std::cout << "\n";
+        copt.label = local ? "local skew" : "global skew";
+        copt.reference = local ? run.local_bound() : run.global_bound();
+        analysis::render_skew_chart(std::cout, tracker.series(), local, copt);
+      }
     }
 
     const auto write = [](const std::string& path, auto&& writer) {
@@ -543,7 +424,7 @@ int main(int argc, char** argv) {
       obs_report.backend = obs::history_backend_name(hcfg.backend);
       obs_report.budget_bytes = hcfg.memory_budget_bytes;
       obs_report.error_bound = tracker.skew_error_bound();
-      if (stair) {
+      if (run.stair()) {
         const obs::HistoryStore* stores[] = {
             &tracker.global_history(), &tracker.local_history(),
             probe ? probe->stabilization_history() : nullptr};
