@@ -59,7 +59,6 @@ bench::RunSpec make_trial_spec(const graph::Graph& g,
         0.05 * t, t, rng.uniform(0.05, 0.5), rng.next_u64());
   }
   spec.duration = 8.0 * d * t;
-  spec.tracker_stride = n >= 64 ? 2 : 1;
   return spec;
 }
 

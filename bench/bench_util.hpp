@@ -36,7 +36,6 @@ struct RunSpec {
   double duration = 500.0;
   double audit_epsilon = 0.0;
   bool wake_all_at_zero = false;
-  std::uint64_t tracker_stride = 1;
 };
 
 inline RunMetrics run(const RunSpec& spec) {
@@ -49,7 +48,6 @@ inline RunMetrics run(const RunSpec& spec) {
 
   analysis::SkewTracker::Options topt;
   topt.audit_epsilon = spec.audit_epsilon;
-  topt.stride = spec.tracker_stride;
   analysis::SkewTracker tracker(sim, topt);
   tracker.attach(sim);
 

@@ -8,7 +8,9 @@
 #      (-DTBCS_SANITIZE=address,undefined) and run them.  The threaded
 #      runtime and the sharded metrics registry are the pieces most at
 #      risk of memory/lifetime bugs, so they get sanitizer coverage even
-#      in a quick pass.  A faulty sweep on 4 workers (tbcs_sweep --jobs 4
+#      in a quick pass.  The skew tracker, stabilization probe and
+#      history-backend tests cover both sampling semantics (exact and
+#      grid) in both engines.  A faulty sweep on 4 workers (tbcs_sweep --jobs 4
 #      --faults) runs the shared run path (cli::ExperimentRun) under ASan
 #      on pool threads.
 #   3. TSan smoke: rebuild the threaded-runtime tests (including the
@@ -63,7 +65,8 @@ echo "=== sanitizer smoke: ASan+UBSan (jobs=$JOBS) ==="
 cmake -B build-asan -S . -DTBCS_SANITIZE=address,undefined > /dev/null
 cmake --build build-asan -j "$JOBS" --target \
   tbcs_sim_tool tbcs_sweep tbcs_trace test_runtime test_obs test_metrics \
-  test_trace_tools
+  test_trace_tools test_skew_incremental test_stabilization_probe \
+  test_history_backend
 
 SAN_TMP="$(mktemp -d)"
 trap 'rm -rf "$SAN_TMP"' EXIT
@@ -82,6 +85,9 @@ build-asan/tests/test_runtime
 build-asan/tests/test_obs
 build-asan/tests/test_metrics
 build-asan/tests/test_trace_tools
+build-asan/tests/test_skew_incremental
+build-asan/tests/test_stabilization_probe
+build-asan/tests/test_history_backend
 
 echo
 echo "=== sanitizer smoke: TSan threaded runtime + sharded engine (jobs=$JOBS) ==="

@@ -39,27 +39,23 @@ SkewTracker::SkewTracker(const sim::Simulator& sim, Options opt) : opt_(opt) {
     distances_ = sim.topology().all_pairs_distances();
     per_distance_.assign(static_cast<std::size_t>(sim.topology().diameter()) + 1, 0.0);
   }
-  next_series_t_ = opt_.warmup;
-  next_per_distance_t_ = opt_.warmup;
-  if (opt_.recovery_classify_interval > 0.0) {
-    next_classify_t_ = opt_.recovery_classify_interval;
-  }
   hist_global_ = obs::make_history_store(opt_.history);
   hist_local_ = obs::make_history_store(opt_.history);
   if (opt_.sample_grid > 0.0) {
-    // Grid points live at k * sample_grid (matching the simulators'
-    // probe_next_ arithmetic); start at the first one not inside warmup.
-    next_grid_t_ = opt_.sample_grid;
-    while (next_grid_t_ < opt_.warmup) next_grid_t_ += opt_.sample_grid;
+    // Grid semantics: grid points from the first one not inside warmup;
+    // every grid sample is a series point.
+    sampling_ = sim::GridCursor::probe(opt_.sample_grid, opt_.warmup);
+  } else {
+    sampling_ = sim::GridCursor(opt_.warmup, 0.0);  // every call past warmup
+    series_ = opt_.series_interval > 0.0
+                  ? sim::GridCursor(opt_.warmup, opt_.series_interval)
+                  : sim::GridCursor::never();
   }
-  incremental_ = opt_.mode != Mode::kFullRescan && opt_.stride <= 1 &&
-                 opt_.sample_grid <= 0.0;
-  degraded_to_full_rescan_ = opt_.mode != Mode::kFullRescan && opt_.stride > 1;
-  if (degraded_to_full_rescan_) {
-    fallback_counter_ =
-        obs::MetricsRegistry::global().counter("skew.full_rescan_fallback");
+  if (opt_.recovery_classify_interval > 0.0) {
+    classify_ = sim::GridCursor::probe(opt_.recovery_classify_interval);
   }
-  if (incremental_ && opt_.track_local) csr_ = sim.topology().csr();
+  incremental_ = opt_.mode != Mode::kFullRescan && opt_.sample_grid <= 0.0;
+  if (incremental_) csr_ = sim.topology().csr();
   if (opt_.mode == Mode::kAuditOracle) {
     Options oracle_opt = opt_;
     oracle_opt.mode = Mode::kFullRescan;
@@ -90,7 +86,6 @@ const std::vector<SkewTracker::Sample>& SkewTracker::series() const {
 }
 
 double SkewTracker::skew_error_bound() const {
-  if (opt_.stride > 1) return std::numeric_limits<double>::quiet_NaN();
   if (opt_.sample_grid <= 0.0) return 0.0;
   if (opt_.error_rate_span <= 0.0) {
     return std::numeric_limits<double>::quiet_NaN();
@@ -106,12 +101,6 @@ double SkewTracker::max_skew_at_distance(int d) const {
   assert(opt_.track_per_distance);
   if (d < 0 || d >= static_cast<int>(per_distance_.size())) return 0.0;
   return per_distance_[static_cast<std::size_t>(d)];
-}
-
-bool SkewTracker::per_distance_due(double t) const {
-  if (!opt_.track_per_distance) return false;
-  if (opt_.per_distance_interval <= 0.0) return true;
-  return t >= next_per_distance_t_;
 }
 
 void SkewTracker::observe(const sim::Simulator& sim, double t) {
@@ -138,16 +127,13 @@ void SkewTracker::observe_window(
 void SkewTracker::do_sample(const sim::Simulator& sim, double t,
                             const sim::Simulator::WindowTouch* touched,
                             std::size_t n_touched) {
-  if (t < opt_.warmup) return;
-  if (opt_.stride > 1 && (calls_++ % opt_.stride) != 0) return;
-  // Grid mode: take only the first sample at/after each grid point.  The
-  // probe event (serial) / probe barrier (sharded) at exactly the grid
-  // time is that sample in both engines, so everything downstream is
-  // engine-invariant.  The early return is what makes large-n runs
-  // affordable: all other events cost one comparison.
-  if (opt_.sample_grid > 0.0 && t < next_grid_t_) return;
+  // Warmup, and under the grid semantics every call but the first at/after
+  // each grid point, end here.  The probe event (serial) / probe barrier
+  // (sharded) at exactly the grid time is that sample in both engines, so
+  // everything downstream is engine-invariant.  The early return is what
+  // makes large-n runs affordable: all other events cost one comparison.
+  if (!sampling_.due(t)) return;
   ++samples_;
-  if (degraded_to_full_rescan_) fallback_counter_.inc();
 
   bool scanned_exactly = false;
   if (!incremental_) {
@@ -161,10 +147,8 @@ void SkewTracker::do_sample(const sim::Simulator& sim, double t,
     if (dt > 0.0 && any_awake_seen_) {
       hi_bound_ = hi_bound_ + rate_hi_ * dt + kCertificateGuard;
       lo_bound_ = lo_bound_ + rate_lo_ * dt - kCertificateGuard;
-      if (opt_.track_local) {
-        local_bound_ =
-            local_bound_ + (rate_hi_ - rate_lo_) * dt + kCertificateGuard;
-      }
+      local_bound_ =
+          local_bound_ + (rate_hi_ - rate_lo_) * dt + kCertificateGuard;
       if (opt_.audit_epsilon > 0.0) {
         // Upper violations grow at rate_v - (1+eps) (and rate_v - beta),
         // lower violations at (1-eps) - rate_v; never shrink the bound.
@@ -191,16 +175,15 @@ void SkewTracker::do_sample(const sim::Simulator& sim, double t,
     bool need = !scanned_once_ || !any_awake_seen_;
     if (!need) {
       need = hi_bound_ - lo_bound_ >= max_global_skew_;
-      if (!need && opt_.track_local) need = local_bound_ >= max_local_skew_;
+      if (!need) need = local_bound_ >= max_local_skew_;
       if (!need && opt_.audit_epsilon > 0.0) {
         need = env_bound_ >= max_envelope_violation_;
       }
     }
-    if (!need && opt_.series_interval > 0.0) need = t >= next_series_t_;
-    if (!need) need = per_distance_due(t);
+    if (!need) need = series_.due(t) || opt_.track_per_distance;
     // Recovery probe: a sample the certificates cannot prove within bounds
     // must be classified exactly, so it forces a scan.
-    if (!need && recovery_probe_active() && classify_due(t) &&
+    if (!need && recovery_probe_active() && classify_.due(t) &&
         !provably_within_recovery_bounds()) {
       need = true;
     }
@@ -210,19 +193,12 @@ void SkewTracker::do_sample(const sim::Simulator& sim, double t,
     }
   }
 
-  if (recovery_probe_active() && classify_due(t)) {
+  if (recovery_probe_active() && classify_.due(t)) {
     classify_recovery_sample(t, scanned_exactly);
   }
-  if (opt_.recovery_classify_interval > 0.0) {
-    // Advance past t even when the probe is dormant (no fault noted yet):
-    // the grid is global time, not time-since-fault.
-    while (next_classify_t_ <= t) {
-      next_classify_t_ += opt_.recovery_classify_interval;
-    }
-  }
-  if (opt_.sample_grid > 0.0) {
-    while (next_grid_t_ <= t) next_grid_t_ += opt_.sample_grid;
-  }
+  // Advance past t even when the probe is dormant (no fault noted yet).
+  classify_.pass(t);
+  sampling_.pass(t);
 
   if (oracle_) {
     oracle_->do_sample(sim, t, touched, n_touched);
@@ -266,7 +242,7 @@ double SkewTracker::stabilization_time() const {
 bool SkewTracker::provably_within_recovery_bounds() const {
   if (!scanned_once_ || !any_awake_seen_) return false;
   if (hi_bound_ - lo_bound_ > opt_.recovery_global_bound) return false;
-  if (opt_.recovery_local_bound > 0.0 && opt_.track_local &&
+  if (opt_.recovery_local_bound > 0.0 &&
       local_bound_ > opt_.recovery_local_bound) {
     return false;
   }
@@ -286,8 +262,7 @@ void SkewTracker::classify_recovery_sample(double t, bool scanned_exactly) {
   bool gradient_within = true;
   if (scanned_exactly) {
     within = cur_global_ <= opt_.recovery_global_bound;
-    const bool have_local =
-        opt_.recovery_local_bound > 0.0 && opt_.track_local;
+    const bool have_local = opt_.recovery_local_bound > 0.0;
     if (within && have_local) {
       within = cur_local_ <= opt_.recovery_local_bound;
     }
@@ -322,12 +297,10 @@ void SkewTracker::touch(const sim::Simulator& sim, sim::NodeId v, bool woke,
   if (!(rate <= rate_hi_)) rate_hi_ = rate;
   if (!(rate >= rate_lo_)) rate_lo_ = rate;
 
-  if (opt_.track_local) {
-    for (const graph::Graph::Arc* a = csr_->begin(v); a != csr_->end(v); ++a) {
-      if (excluded(a->to) || !sim.link_up(a->edge) || !sim.awake(a->to)) continue;
-      const double d = std::abs(L - sim.logical(a->to));
-      if (!(d <= local_bound_)) local_bound_ = d + kCertificateGuard;
-    }
+  for (const graph::Graph::Arc* a = csr_->begin(v); a != csr_->end(v); ++a) {
+    if (excluded(a->to) || !sim.link_up(a->edge) || !sim.awake(a->to)) continue;
+    const double d = std::abs(L - sim.logical(a->to));
+    if (!(d <= local_bound_)) local_bound_ = d + kCertificateGuard;
   }
 
   if (opt_.audit_epsilon > 0.0) {
@@ -430,22 +403,20 @@ void SkewTracker::full_scan(const sim::Simulator& sim, double t) {
   cur_global_ = global;
 
   double local = 0.0;
-  if (opt_.track_local) {
-    const auto& edges = sim.topology().edges();
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      const auto& [u, w] = edges[i];
-      const double Lu = logical_scratch_[static_cast<std::size_t>(u)];
-      const double Lw = logical_scratch_[static_cast<std::size_t>(w)];
-      if (Lu == -sim::kInfinity || Lw == -sim::kInfinity) continue;
-      if (!sim.link_up(i)) continue;  // down links are not neighbors
-      local = std::max(local, std::abs(Lu - Lw));
-    }
-    max_local_skew_ = std::max(max_local_skew_, local);
-    local_bound_ = local;
+  const auto& edges = sim.topology().edges();
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const auto& [u, w] = edges[i];
+    const double Lu = logical_scratch_[static_cast<std::size_t>(u)];
+    const double Lw = logical_scratch_[static_cast<std::size_t>(w)];
+    if (Lu == -sim::kInfinity || Lw == -sim::kInfinity) continue;
+    if (!sim.link_up(i)) continue;  // down links are not neighbors
+    local = std::max(local, std::abs(Lu - Lw));
   }
+  max_local_skew_ = std::max(max_local_skew_, local);
+  local_bound_ = local;
   cur_local_ = local;
 
-  if (per_distance_due(t)) {
+  if (opt_.track_per_distance) {
     for (sim::NodeId v = 0; v < n; ++v) {
       const double Lv = logical_scratch_[static_cast<std::size_t>(v)];
       if (Lv == -sim::kInfinity) continue;
@@ -457,30 +428,15 @@ void SkewTracker::full_scan(const sim::Simulator& sim, double t) {
         cell = std::max(cell, std::abs(Lv - Lw));
       }
     }
-    if (opt_.per_distance_interval > 0.0) {
-      do {
-        next_per_distance_t_ += opt_.per_distance_interval;
-      } while (next_per_distance_t_ <= t);
-    }
   }
 
-  // Grid mode records every taken sample (the grid IS the cadence);
-  // otherwise the series_interval cadence applies.
-  const bool series_due =
-      opt_.sample_grid > 0.0 ||
-      (opt_.series_interval > 0.0 && t >= next_series_t_);
-  if (series_due) {
+  // The series advances on its fixed grid (anchoring the next point at `t`
+  // would accumulate per-probe jitter and drift off the cadence).
+  if (series_.due(t)) {
     hist_global_->append(t, global);
     hist_local_->append(t, local);
     series_dirty_ = true;
-    if (opt_.sample_grid <= 0.0) {
-      // Advance on the fixed grid warmup + k * interval: anchoring the
-      // next target at `t` would accumulate per-probe jitter and let the
-      // series drift off the requested cadence.
-      do {
-        next_series_t_ += opt_.series_interval;
-      } while (next_series_t_ <= t);
-    }
+    series_.pass(t);
   }
 }
 

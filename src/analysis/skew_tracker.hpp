@@ -3,11 +3,22 @@
 //
 // All logical clocks are piecewise linear in real time with breakpoints
 // only at simulation events; the maximum of a difference of piecewise
-// linear functions over an interval is attained at a breakpoint.  The
-// tracker is installed as the simulator's observer and therefore samples
-// every breakpoint: the reported maxima are exact, not approximations.
+// linear functions over an interval is attained at a breakpoint.  Every
+// figure (skews, per-distance profile, series, recovery classification)
+// follows one of two sampling semantics:
 //
-// Two engines produce those maxima:
+//  * exact (sample_grid == 0) — every observer call is a sample.  The
+//    serial engine calls the observer at every breakpoint, so the reported
+//    maxima are exact, not approximations.
+//
+//  * grid (sample_grid > 0) — only the first call at or after each point
+//    k * sample_grid is a sample (sim::GridCursor, the probe schedule's
+//    arithmetic).  With SimConfig::probe_interval == sample_grid both
+//    engines sample at the same instants, so every figure is identical
+//    serial vs any --shards count; maxima fall short of exact by at most
+//    skew_error_bound().
+//
+// Two scan engines serve the exact semantics:
 //
 //  * kFullRescan — the oracle: every sample scans all n nodes and all E
 //    edges.  O(events * (n + E)).
@@ -34,7 +45,7 @@
 #include <vector>
 
 #include "obs/history_store.hpp"
-#include "obs/metrics.hpp"
+#include "sim/grid_cursor.hpp"
 #include "sim/simulator.hpp"
 
 namespace tbcs::analysis {
@@ -48,23 +59,13 @@ class SkewTracker {
   };
 
   struct Options {
-    /// Scan engine.  Incremental requires stride == 1 (any stride > 1
-    /// silently uses the full-rescan engine: strided sampling already
-    /// breaks the one-event-per-sample dirty-set invariant).
+    /// Scan engine (exact semantics; grid sampling always scans fully).
     Mode mode = Mode::kIncremental;
 
-    /// Track the per-edge (local) skew.  O(|E|) per full scan.
-    bool track_local = true;
-
     /// Track the skew profile per hop distance (gradient property,
-    /// Definition 5.6).  O(n^2) per evaluation — enable only for small n.
+    /// Definition 5.6) at every sample.  O(n^2) per sample, and it forces
+    /// a full scan per sample — enable only for small n.
     bool track_per_distance = false;
-
-    /// When > 0, evaluate the per-distance profile only on the fixed time
-    /// grid warmup + k * per_distance_interval (like the probe grid)
-    /// instead of at every sample; profile maxima become grid maxima.
-    /// 0 keeps the exact every-sample profile.
-    double per_distance_interval = 0.0;
 
     /// Audit Condition (1) against this true epsilon (<= 0 disables).
     /// The upper envelope is anchored at the earliest wake time seen
@@ -80,10 +81,6 @@ class SkewTracker {
     /// adopt L^max at wake.
     double audit_beta = 0.0;
 
-    /// Sample only every `stride`-th observer call (maxima become lower
-    /// bounds).  1 = exact.
-    std::uint64_t stride = 1;
-
     /// Record a (t, global, local) time-series point at most every
     /// `series_interval` time units (0 = no series).
     double series_interval = 0.0;
@@ -92,8 +89,8 @@ class SkewTracker {
     /// stair summarizes old history under a memory budget).
     obs::HistoryConfig history;
 
-    /// When > 0, sample ONLY on the fixed time grid k * sample_grid
-    /// (k >= 1, grid points accumulated by addition): the first observer
+    /// When > 0, the grid semantics: sample ONLY on the fixed time grid
+    /// k * sample_grid (k >= 1, sim::GridCursor::probe): the first observer
     /// call with t >= the next grid point is taken, all others are
     /// skipped, and every taken sample is recorded into the history
     /// stores.  Pair it with SimConfig::probe_interval == sample_grid so
@@ -120,11 +117,10 @@ class SkewTracker {
     // ---- recovery-time probe (fault injection) ------------------------------
     // Enabled when recovery_global_bound > 0 and a fault has been noted via
     // note_fault().  A sample is "within bounds" when the instantaneous
-    // global skew is <= recovery_global_bound and (if also > 0 and local
-    // tracking is on) the instantaneous local skew is <=
-    // recovery_local_bound; recovery_time() is the delay from the last
-    // noted fault to the first within-bounds sample not followed by any
-    // out-of-bounds sample.  Callers set the bounds to the Thm 5.5 / 5.10
+    // global skew is <= recovery_global_bound and (if also > 0) the
+    // instantaneous local skew is <= recovery_local_bound; recovery_time()
+    // is the delay from the last noted fault to the first within-bounds
+    // sample not followed by any out-of-bounds sample.  Callers set the bounds to the Thm 5.5 / 5.10
     // figures so "recovered" means "re-entered the paper's envelope".
 
     /// Global-skew re-entry threshold (<= 0 disables the probe).
@@ -213,9 +209,9 @@ class SkewTracker {
   const obs::HistoryStore& local_history() const { return *hist_local_; }
 
   /// Worst-case gap between the reported skew maxima and the exact
-  /// (every-breakpoint) figures.  0 for exact every-sample tracking, NaN
-  /// when unknown (stride > 1, or grid sampling without an
-  /// error_rate_span), else error_rate_span * sample_grid.
+  /// (every-breakpoint) figures.  0 under the exact semantics; under the
+  /// grid semantics error_rate_span * sample_grid, or NaN without an
+  /// error_rate_span.
   double skew_error_bound() const;
 
   /// Bytes held by the series history stores.
@@ -261,7 +257,6 @@ class SkewTracker {
   double stabilization_time() const;
 
  private:
-  bool per_distance_due(double t) const;
   void do_sample(const sim::Simulator& sim, double t,
                  const sim::Simulator::WindowTouch* touched,
                  std::size_t n_touched);
@@ -278,11 +273,6 @@ class SkewTracker {
   /// bounds (incremental engine; certificates are upper bounds on the
   /// instantaneous values, so "bound small enough" is a proof).
   bool provably_within_recovery_bounds() const;
-  /// Whether this sample time is a recovery-classification point (always,
-  /// unless the grid of recovery_classify_interval is active).
-  bool classify_due(double t) const {
-    return opt_.recovery_classify_interval <= 0.0 || t >= next_classify_t_;
-  }
   void classify_recovery_sample(double t, bool scanned_exactly);
 
   Options opt_;
@@ -303,18 +293,17 @@ class SkewTracker {
   mutable std::vector<Sample> series_cache_;
   mutable bool series_dirty_ = false;
   double earliest_start_ = sim::kInfinity;
-  double next_series_t_ = 0.0;
-  double next_grid_t_ = 0.0;  // next sample_grid point (grid mode only)
-  double next_per_distance_t_ = 0.0;
-  std::uint64_t calls_ = 0;
+  /// Which calls are samples: every call past warmup (exact) or the
+  /// sample_grid points.
+  sim::GridCursor sampling_;
+  /// Series points: every sample under the grid semantics, else the
+  /// warmup + k * series_interval cadence (never when the interval is 0).
+  sim::GridCursor series_;
+  /// Recovery-classification points: every sample, or the grid
+  /// k * recovery_classify_interval (global time, not time-since-fault).
+  sim::GridCursor classify_;
   std::uint64_t samples_ = 0;
   std::uint64_t full_scans_ = 0;
-  /// Set when an incremental engine was requested but stride > 1 silently
-  /// degraded it to full rescans; every degraded sample bumps the
-  /// `skew.full_rescan_fallback` counter so sweeps surface the hidden
-  /// O(n + E)-per-sample cost.
-  bool degraded_to_full_rescan_ = false;
-  obs::Counter fallback_counter_;
 
   // ---- recovery-probe state -------------------------------------------------
   bool have_fault_ = false;
@@ -327,10 +316,6 @@ class SkewTracker {
   /// classification cadence, local bound only.
   double gradient_candidate_ = 0.0;  // guarded by have_gradient_candidate_
   bool have_gradient_candidate_ = false;
-  /// Next grid point of recovery_classify_interval (accumulated by
-  /// addition, matching the simulators' probe_next_ arithmetic so the
-  /// grid times are bit-equal to the probe sample times).
-  double next_classify_t_ = 0.0;
   double cur_global_ = 0.0;  // instantaneous values as of the last full scan
   double cur_local_ = 0.0;
 

@@ -11,6 +11,7 @@
 #include "core/aopt_variants.hpp"
 #include "core/envelope_sync.hpp"
 #include "core/external_sync.hpp"
+#include "graph/partition.hpp"
 #include "graph/topologies.hpp"
 #include "sim/clock_model.hpp"
 #include "sim/rng.hpp"
@@ -41,7 +42,6 @@ void apply_model_flags(ArgParser& args, ExperimentConfig& cfg) {
   cfg.duration = args.get_double("duration", cfg.duration);
   cfg.seed = args.get_u64("seed", cfg.seed);
   cfg.wake_all = args.get_bool("wake-all", cfg.wake_all);
-  cfg.per_distance = args.get_bool("per-distance", cfg.per_distance);
   cfg.shards = args.get_int("shards", cfg.shards);
   cfg.partition = args.get_string("partition", cfg.partition);
   cfg.min_shard_nodes = args.get_int("shards-min-nodes", cfg.min_shard_nodes);
@@ -298,8 +298,7 @@ std::unique_ptr<sim::Node> build_node(const ExperimentConfig& cfg,
 
 BuiltExperiment build_experiment(const ExperimentConfig& cfg) {
   // Checked even when serial, so a bad name never passes silently.
-  if (cfg.partition != "auto" && cfg.partition != "block" &&
-      cfg.partition != "ml" && cfg.partition != "multilevel") {
+  if (!graph::Partition::known_strategy(cfg.partition)) {
     throw ConfigError("unknown --partition: " + cfg.partition +
                       " (expected auto|block|ml)");
   }

@@ -63,7 +63,6 @@ struct ExperimentConfig {
   double duration = 500.0;
   std::uint64_t seed = 1;
   bool wake_all = false;
-  bool per_distance = false;
 
   // Sharded engine: number of lanes (0 = classic serial engine) and the
   // graph::Partition strategy ("auto" | "block" | "ml"; auto

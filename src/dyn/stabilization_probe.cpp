@@ -15,7 +15,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 StabilizationProbe::StabilizationProbe(Options opt) : opt_(opt) {
   bounded_ = opt_.history.backend == obs::HistoryConfig::Backend::kStair;
   if (bounded_) history_ = obs::make_history_store(opt_.history);
-  if (opt_.sample_grid > 0.0) next_grid_t_ = opt_.sample_grid;
+  if (opt_.sample_grid > 0.0) grid_ = sim::GridCursor::probe(opt_.sample_grid);
 }
 
 void StabilizationProbe::note_insert(sim::NodeId u, sim::NodeId v, double t,
@@ -60,11 +60,8 @@ void StabilizationProbe::preload(const ChurnSchedule& schedule) {
 }
 
 void StabilizationProbe::observe(const sim::Simulator& sim, double t) {
-  if (opt_.bound <= 0.0) return;
-  if (opt_.sample_grid > 0.0) {
-    if (t < next_grid_t_) return;
-    while (next_grid_t_ <= t) next_grid_t_ += opt_.sample_grid;
-  }
+  if (opt_.bound <= 0.0 || !grid_.due(t)) return;
+  grid_.pass(t);
   for (std::size_t i = live_floor_; i < records_.size(); ++i) {
     Record& r = records_[i];
     if (r.t_insert > t) break;  // sorted: nothing later is live yet

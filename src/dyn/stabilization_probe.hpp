@@ -26,6 +26,7 @@
 #include "analysis/skew_tracker.hpp"
 #include "obs/history_store.hpp"
 #include "dyn/churn_plan.hpp"
+#include "sim/grid_cursor.hpp"
 #include "sim/simulator.hpp"
 
 namespace tbcs::dyn {
@@ -48,10 +49,9 @@ class StabilizationProbe {
     obs::HistoryConfig history{};
 
     /// When > 0, sample only on the fixed time grid k * sample_grid
-    /// (first observer call at/after each grid point; same arithmetic as
-    /// SkewTracker::Options::sample_grid, pair with
-    /// SimConfig::probe_interval for engine invariance).  Stabilization
-    /// figures coarsen to grid resolution.
+    /// (first observer call at/after each grid point, sim::GridCursor;
+    /// pair with SimConfig::probe_interval for engine invariance).
+    /// Stabilization figures coarsen to grid resolution.
     double sample_grid = 0.0;
   };
 
@@ -122,7 +122,7 @@ class StabilizationProbe {
   Options opt_;
   std::vector<Record> records_;
   std::size_t live_floor_ = 0;  // records before this are past t_end
-  double next_grid_t_ = 0.0;    // next sample_grid point (grid mode only)
+  sim::GridCursor grid_;        // every call when sample_grid == 0
 
   // ---- folded aggregates (stair mode) -------------------------------------
   // Identical to re-folding the dropped records: every accessor is the

@@ -389,6 +389,17 @@ Partition Partition::block(const Graph& g, int num_shards) {
 
 Partition Partition::make(const Graph& g, int num_shards,
                           const std::string& strategy) {
+  return resolve_strategy(g, strategy) == "block" ? block(g, num_shards)
+                                                  : multilevel(g, num_shards);
+}
+
+bool Partition::known_strategy(const std::string& strategy) {
+  return strategy == "auto" || strategy == "block" || strategy == "ml" ||
+         strategy == "multilevel";
+}
+
+std::string Partition::resolve_strategy(const Graph& g,
+                                        const std::string& strategy) {
   if (strategy == "auto" || strategy.empty()) {
     // Trees (m == n-1): block partitions of a BFS-numbered tree cut whole
     // level bands, putting every node within a hop or two of a cut and
@@ -397,14 +408,13 @@ Partition Partition::make(const Graph& g, int num_shards,
     // where contiguous blocks are already near-optimal and free.
     const bool tree = g.num_edges() + 1 == static_cast<std::size_t>(
                                                g.num_nodes());
-    return tree ? multilevel(g, num_shards) : block(g, num_shards);
+    return tree ? "ml" : "block";
   }
-  if (strategy == "block") return block(g, num_shards);
-  if (strategy == "ml" || strategy == "multilevel") {
-    return multilevel(g, num_shards);
+  if (!known_strategy(strategy)) {
+    throw std::invalid_argument("Partition: unknown strategy '" + strategy +
+                                "' (expected auto|block|ml)");
   }
-  throw std::invalid_argument("Partition: unknown strategy '" + strategy +
-                              "' (expected auto|block|ml)");
+  return strategy;
 }
 
 Partition Partition::from_assignment(const Graph& g,

@@ -66,6 +66,17 @@ class Partition {
   static Partition make(const Graph& g, int num_shards,
                         const std::string& strategy);
 
+  /// Whether `strategy` names a strategy: auto | block | ml (or its long
+  /// form, multilevel).
+  static bool known_strategy(const std::string& strategy);
+
+  /// The strategy make() runs for `strategy` on `g`: "auto" (or empty)
+  /// becomes "ml" on trees and "block" elsewhere, any other known name
+  /// comes back unchanged.  Throws std::invalid_argument on an unknown
+  /// name.
+  static std::string resolve_strategy(const Graph& g,
+                                      const std::string& strategy);
+
   /// Builds a partition of `g` from an explicit node -> shard assignment
   /// (cut tables computed against g's full edge set).  Used by the sharded
   /// engine's repartition: the assignment is computed on the *live*

@@ -1,7 +1,5 @@
 #include "sim/clock_model.hpp"
 
-#include <cassert>
-#include <cmath>
 #include <stdexcept>
 
 namespace tbcs::sim {
@@ -27,68 +25,6 @@ std::unique_ptr<DriftPolicy> make_oscillator(const OscillatorSpec& spec) {
                                                spec.seed);
   }
   throw std::invalid_argument("unknown oscillator kind");
-}
-
-void SettableClock::step(RealTime now, ClockValue offset) {
-  assert(started());
-  // A step supersedes whatever slew was in flight.
-  if (slewing_) {
-    slewing_ = false;
-    HardwareClock::set_rate(now, base_rate_);
-  }
-  double applied = offset;
-  if (opt_.enforce_monotone && applied < 0.0) {
-    clamped_adjustment_ += -applied;
-    applied = 0.0;
-  }
-  ++steps_;
-  total_adjustment_ += std::abs(applied);
-  reanchor(now, value_at(now) + applied);
-}
-
-void SettableClock::begin_slew(RealTime now, ClockValue offset,
-                               double rate_factor) {
-  assert(started());
-  assert(rate_factor > 0.0 && rate_factor < 1.0);
-  poll(now);  // close out a finished slew first
-  if (slewing_) {
-    // Replace the in-flight correction: restore the base rate, then
-    // start over from the current (partially corrected) value.
-    HardwareClock::set_rate(now, base_rate_);
-    slewing_ = false;
-  }
-  if (offset == 0.0) return;
-  base_rate_ = rate();
-  const double direction = offset > 0.0 ? 1.0 : -1.0;
-  const double slew_rate = base_rate_ * (1.0 + direction * rate_factor);
-  // |d(value)/dt - base_rate| = base_rate * rate_factor, so the offset is
-  // absorbed after |offset| / (base_rate * rate_factor) real seconds.
-  slew_end_ = now + std::abs(offset) / (base_rate_ * rate_factor);
-  HardwareClock::set_rate(now, slew_rate);
-  slewing_ = true;
-  ++slews_;
-  total_adjustment_ += std::abs(offset);
-}
-
-void SettableClock::poll(RealTime now) {
-  if (!slewing_ || now < slew_end_) return;
-  // Restore the base rate at the exact completion time; value_at()
-  // handled the piecewise segment up to slew_end_ already.
-  HardwareClock::set_rate(slew_end_, base_rate_);
-  slewing_ = false;
-}
-
-void SettableClock::set_base_rate(RealTime now, double rate_value) {
-  if (!slewing_) {
-    base_rate_ = rate_value;
-    HardwareClock::set_rate(now, rate_value);
-    return;
-  }
-  // Re-scale the in-flight slew around the new oscillator rate so the
-  // correction direction is preserved.
-  const double factor = rate() / base_rate_;
-  base_rate_ = rate_value;
-  HardwareClock::set_rate(now, rate_value * factor);
 }
 
 }  // namespace tbcs::sim

@@ -1,9 +1,9 @@
-// Clock-model layer: oscillator families and settable clocks.
+// Clock-model layer: oscillator families.
 //
 // The paper's model (Section 3) only needs a free-running hardware clock
 // whose rate the adversary perturbs inside [1-eps, 1+eps]; hardware_clock
-// + drift_policy cover that.  This header promotes the pair into a small
-// model layer so gPTP-like scenarios become expressible:
+// + drift_policy cover that.  This header names the drift models so the
+// CLI, sweep specs and tests build them from one declarative spec:
 //
 //  * OscillatorSpec / make_oscillator() — a first-class drift axis.  The
 //    CLI's named drift models (const/walk/square/sine and the new
@@ -16,12 +16,6 @@
 //    [1-eps, 1+eps].  Unlike RandomWalkDrift (which re-draws the rate
 //    i.i.d. each interval) consecutive rates are correlated, which is
 //    the regime where long-horizon gradient properties show up.
-//
-//  * SettableClock — a hardware clock that a sync protocol may *adjust*:
-//    discontinuous steps (with optional monotonicity clamping) and
-//    bounded-rate slews, the two correction primitives of PTP-style
-//    servo loops.  It still inherits the exact piecewise-linear
-//    value_at()/time_when_reaches() machinery, so it can drive timers.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +25,6 @@
 #include "sim/drift_policy.hpp"
 #include "sim/rng.hpp"
 #include "sim/types.hpp"
-#include "sim/hardware_clock.hpp"
 
 namespace tbcs::sim {
 
@@ -106,62 +99,5 @@ struct OscillatorSpec {
 };
 
 std::unique_ptr<DriftPolicy> make_oscillator(const OscillatorSpec& spec);
-
-/// A hardware clock the protocol may correct — the "settable" clock of
-/// IEEE 1588/gPTP stacks.  Corrections never run the clock backwards
-/// unless monotonicity enforcement is switched off.
-class SettableClock : public HardwareClock {
- public:
-  struct Options {
-    /// Clamp negative steps so the reported value never decreases
-    /// (slewing remains available for smooth negative corrections).
-    bool enforce_monotone = true;
-  };
-
-  SettableClock() = default;
-  explicit SettableClock(Options opt) : opt_(opt) {}
-
-  /// Applies an immediate value step of `offset` at real time `now`.
-  /// With monotone enforcement a negative step is clamped to zero and
-  /// counted in clamped_adjustment().  Steps cancel an in-flight slew.
-  void step(RealTime now, ClockValue offset);
-
-  /// Starts correcting `offset` by running the clock at base_rate *
-  /// (1 +/- rate_factor) until the correction is absorbed; rate_factor
-  /// must be in (0, 1) so the clock stays strictly monotone even for
-  /// negative offsets.  Replaces any in-flight slew (the remainder of
-  /// the old correction is dropped).  Call poll() at (or after) each
-  /// event to let a finished slew restore the base rate.
-  void begin_slew(RealTime now, ClockValue offset, double rate_factor);
-
-  /// Finishes an elapsed slew: restores the base oscillator rate at the
-  /// exact completion time.  Safe to call at any time.
-  void poll(RealTime now);
-
-  /// Records the oscillator's own rate (from the drift policy) so slews
-  /// compose with drift: set_base_rate instead of set_rate keeps an
-  /// active slew's offset-absorption accounting correct.
-  void set_base_rate(RealTime now, double rate);
-
-  bool slewing() const { return slewing_; }
-  RealTime slew_end() const { return slew_end_; }
-
-  std::uint64_t steps() const { return steps_; }
-  std::uint64_t slews() const { return slews_; }
-  /// Sum of |offset| over all applied corrections (steps + slews).
-  double total_adjustment() const { return total_adjustment_; }
-  /// Step magnitude suppressed by monotonicity clamping.
-  double clamped_adjustment() const { return clamped_adjustment_; }
-
- private:
-  Options opt_;
-  bool slewing_ = false;
-  RealTime slew_end_ = 0.0;
-  double base_rate_ = 1.0;
-  std::uint64_t steps_ = 0;
-  std::uint64_t slews_ = 0;
-  double total_adjustment_ = 0.0;
-  double clamped_adjustment_ = 0.0;
-};
 
 }  // namespace tbcs::sim

@@ -41,12 +41,6 @@ class HardwareClock {
   /// constant-rate assumption is always valid for scheduled timers.
   RealTime time_when_reaches(ClockValue target, RealTime now) const;
 
- protected:
-  /// Moves the anchor to (t, value), discontinuously if value differs
-  /// from value_at(t).  Only settable clocks (sim/clock_model.hpp) may
-  /// introduce discontinuities; the paper's H_v stays continuous.
-  void reanchor(RealTime t, ClockValue value);
-
  private:
   void advance_anchor(RealTime t);
 

@@ -107,17 +107,9 @@ void Simulator::configure_shards(int shards, const std::string& strategy,
     return;
   }
   shards_requested_ = shards;
-  // Resolve "auto" here so partition_strategy() (and the stats "engine"
-  // block) reports the strategy actually used, matching Partition::make's
-  // dispatch: multilevel keeps subtrees whole where block partitions of a
-  // BFS-numbered tree would cut every level band.
-  if (strategy == "auto" || strategy.empty()) {
-    const bool tree =
-        graph_.num_edges() + 1 == static_cast<std::size_t>(graph_.num_nodes());
-    partition_strategy_ = tree ? "ml" : "block";
-  } else {
-    partition_strategy_ = strategy;
-  }
+  // Resolved so partition_strategy() (and the stats "engine" block)
+  // reports the strategy actually used.
+  partition_strategy_ = graph::Partition::resolve_strategy(graph_, strategy);
   int effective = std::min(shards, graph_.num_nodes());
   if (min_nodes_per_shard > 0) {
     const int cap = std::max(
@@ -548,10 +540,8 @@ void Simulator::run_windowed(RealTime t_end) {
   const bool observed =
       observer_ != nullptr || window_observer_ != nullptr ||
       recorder_ != nullptr;
-  const Duration obs_dt = !observed ? kInfinity
-                          : cfg_.observation_interval > 0.0
-                              ? cfg_.observation_interval
-                              : 4.0 * lookahead_;
+  // Observation barriers land every 4x the global min_delay().
+  const Duration obs_dt = observed ? 4.0 * lookahead_ : kInfinity;
   bool t_end_flushed = false;
   for (;;) {
     RealTime t_next = kInfinity;

@@ -110,14 +110,10 @@ struct SimConfig {
   std::vector<graph::NodeId> extra_roots;
 
   /// If > 0, a probe event fires every `probe_interval` so observers get
-  /// called even during event-free stretches.
+  /// called even during event-free stretches.  Probe times are
+  /// accumulated by addition (k * probe_interval), the arithmetic
+  /// sim::GridCursor::probe reproduces for grid-sampling observers.
   Duration probe_interval = 0.0;
-
-  /// Sharded engine only: target spacing of observation barriers (the
-  /// partition-invariant barriers where observers run and the canonical
-  /// queue peak is sampled).  <= 0 picks 4x the delay policy's global
-  /// min_delay().  The serial engine ignores it (observers run per event).
-  Duration observation_interval = 0.0;
 };
 
 class Simulator {

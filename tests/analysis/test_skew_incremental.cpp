@@ -3,8 +3,8 @@
 // to the full-rescan oracle — same max global/local skew, per-distance
 // table, envelope violation, and rate extremes.  Scenarios cover A^opt
 // and the blocking-gradient baseline on line/tree/random topologies with
-// dynamic links, crashes, injected rate changes, and both per-distance
-// evaluation schedules.
+// dynamic links, crashes, injected rate changes, and both sampling
+// semantics (exact: every event; grid: the probe grid).
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -12,10 +12,10 @@
 #include <vector>
 
 #include "analysis/skew_tracker.hpp"
-#include "obs/metrics.hpp"
 #include "baselines/blocking_gradient.hpp"
 #include "core/aopt.hpp"
 #include "core/params.hpp"
+#include "dyn/stabilization_probe.hpp"
 #include "graph/topologies.hpp"
 #include "sim/simulator.hpp"
 
@@ -35,7 +35,8 @@ struct Scenario {
   bool inject_rates = false;
   double audit_epsilon = 0.01;
   bool per_distance = false;
-  double per_distance_interval = 0.0;
+  double probe_interval = 0.0;
+  double sample_grid = 0.0;  // > 0: grid semantics
   double series_interval = 0.0;
   double warmup = 0.0;
 };
@@ -43,6 +44,7 @@ struct Scenario {
 std::unique_ptr<sim::Simulator> build(const Scenario& sc) {
   sim::SimConfig cfg;
   cfg.wake_all_at_zero = sc.wake_all;
+  cfg.probe_interval = sc.probe_interval;
   auto s = std::make_unique<sim::Simulator>(sc.graph, cfg);
   s->set_all_nodes(sc.factory);
   s->set_drift_policy(std::make_shared<sim::RandomWalkDrift>(0.01, 5.0, sc.seed));
@@ -65,7 +67,7 @@ SkewTracker::Options options_for(const Scenario& sc, SkewTracker::Mode mode) {
   topt.mode = mode;
   topt.audit_epsilon = sc.audit_epsilon;
   topt.track_per_distance = sc.per_distance;
-  topt.per_distance_interval = sc.per_distance_interval;
+  topt.sample_grid = sc.sample_grid;
   topt.series_interval = sc.series_interval;
   topt.warmup = sc.warmup;
   return topt;
@@ -146,11 +148,8 @@ TEST(SkewIncremental, AoptLineFloodInit) {
   Scenario sc;
   sc.graph = graph::make_path(24);
   sc.factory = aopt_factory();
-  sc.per_distance = true;
-  // A grid interval, not every-sample: the exact per-distance profile
-  // needs a full scan per sample by construction, which would make the
-  // fewer-scans expectation impossible.
-  sc.per_distance_interval = 5.0;
+  // No per-distance profile: it needs a full scan per sample by
+  // construction, which would make the fewer-scans expectation impossible.
   sc.series_interval = 7.0;
   expect_engines_identical(sc);
 }
@@ -204,15 +203,19 @@ TEST(SkewIncremental, BlockingGradientRandomDynamic) {
   expect_engines_identical(sc);
 }
 
-// The sampled per-distance grid must agree between engines and stay
-// dominated by the exact every-sample profile.
+// Grid semantics (sample_grid == probe_interval == T): the per-distance
+// profile is taken on the probe grid.  It must agree between engines and
+// stay dominated by the exact profile of the same execution, whose samples
+// include every grid instant.
 TEST(SkewIncremental, PerDistanceGridMatchesAndIsDominated) {
   Scenario sc;
   sc.graph = graph::make_path(16);
   sc.factory = aopt_factory();
   sc.per_distance = true;
-  sc.per_distance_interval = 9.0;
-  expect_engines_identical(sc);
+  sc.probe_interval = 1.0;
+  sc.sample_grid = 1.0;
+  // Grid sampling always scans fully, so there are no scans to save.
+  expect_engines_identical(sc, /*expect_fewer_scans=*/false);
 
   auto sim_grid = build(sc);
   SkewTracker grid(*sim_grid, options_for(sc, SkewTracker::Mode::kIncremental));
@@ -220,13 +223,15 @@ TEST(SkewIncremental, PerDistanceGridMatchesAndIsDominated) {
   run(*sim_grid, sc);
 
   Scenario every = sc;
-  every.per_distance_interval = 0.0;
+  every.sample_grid = 0.0;
   auto sim_every = build(every);
   SkewTracker exact(*sim_every,
                     options_for(every, SkewTracker::Mode::kIncremental));
   exact.attach(*sim_every);
   run(*sim_every, every);
 
+  ASSERT_EQ(sim_grid->events_processed(), sim_every->events_processed());
+  EXPECT_LT(grid.samples_taken(), exact.samples_taken());
   ASSERT_EQ(grid.max_distance(), exact.max_distance());
   bool some_positive = false;
   for (int d = 0; d <= grid.max_distance(); ++d) {
@@ -234,6 +239,44 @@ TEST(SkewIncremental, PerDistanceGridMatchesAndIsDominated) {
     some_positive |= grid.max_skew_at_distance(d) > 0.0;
   }
   EXPECT_TRUE(some_positive) << "grid sampling never evaluated the profile";
+}
+
+// The grid profile is a function of the probe-grid samples alone, so the
+// sharded engine's barrier observer reports it bit for bit like the serial
+// per-event observer.
+TEST(SkewIncremental, PerDistanceGridIsShardInvariant) {
+  const graph::Graph g = graph::make_path(16);
+  const auto profile = [&g](int shards) {
+    sim::SimConfig cfg;
+    cfg.probe_interval = 1.0;
+    sim::Simulator s(g, cfg);
+    if (shards > 0) s.configure_shards(shards, "block", 0);
+    s.set_all_nodes(aopt_factory());
+    s.set_drift_policy(std::make_shared<sim::RandomWalkDrift>(0.01, 5.0, 3));
+    // Positive minimum delay: the sharded engine's lookahead.
+    s.set_delay_policy(std::make_shared<sim::UniformDelay>(0.5, 1.0, 4));
+    SkewTracker::Options topt;
+    topt.track_per_distance = true;
+    topt.sample_grid = 1.0;
+    SkewTracker tracker(s, topt);
+    dyn::attach_dyn_observers(s, &tracker, nullptr);
+    s.run_until(120.0);
+    std::vector<double> out{static_cast<double>(tracker.samples_taken()),
+                            tracker.max_global_skew(),
+                            tracker.max_local_skew()};
+    for (int d = 0; d <= tracker.max_distance(); ++d) {
+      out.push_back(tracker.max_skew_at_distance(d));
+    }
+    return out;
+  };
+  const std::vector<double> serial = profile(0);
+  const std::vector<double> sharded = profile(2);
+  ASSERT_EQ(serial.size(), 3u + 16u);  // diameter 15: distances 0..15
+  EXPECT_GT(serial.back(), 0.0);
+  ASSERT_EQ(serial.size(), sharded.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i], sharded[i]) << "entry " << i;
+  }
 }
 
 // kAuditOracle runs both engines inside one tracker and throws on any
@@ -250,30 +293,6 @@ TEST(SkewIncremental, AuditOracleModePassesEndToEnd) {
   tracker.attach(*s);
   EXPECT_NO_THROW(run(*s, sc));
   EXPECT_GT(tracker.max_global_skew(), 0.0);
-}
-
-// stride > 1 breaks the one-event-per-sample dirty-set invariant, so the
-// tracker must fall back to full rescans rather than report garbage.
-TEST(SkewIncremental, StrideForcesFullRescans) {
-  Scenario sc;
-  sc.graph = graph::make_path(12);
-  sc.factory = aopt_factory();
-  auto s = build(sc);
-  SkewTracker::Options topt = options_for(sc, SkewTracker::Mode::kIncremental);
-  topt.stride = 4;
-  const std::uint64_t fallback_before =
-      obs::MetricsRegistry::global().snapshot().counter(
-          "skew.full_rescan_fallback");
-  SkewTracker tracker(*s, topt);
-  tracker.attach(*s);
-  run(*s, sc);
-  EXPECT_EQ(tracker.full_scans(), tracker.samples_taken());
-  // Every degraded sample is surfaced in the metrics counter, so a sweep
-  // that silently lost the incremental engine is visible in --stats.
-  EXPECT_EQ(obs::MetricsRegistry::global().snapshot().counter(
-                "skew.full_rescan_fallback") -
-                fallback_before,
-            tracker.samples_taken());
 }
 
 }  // namespace

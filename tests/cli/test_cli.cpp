@@ -273,6 +273,16 @@ TEST(ExperimentConfig, RemovedFlagsAreUnknown) {
             (std::vector<std::string>{"queue", "skew-stride"}));
 }
 
+// --per-distance is a tbcs_sim flag: the model flags shared with
+// tbcs_sweep leave it unknown, so the sweep rejects it instead of
+// silently dropping the profile.
+TEST(ExperimentConfig, PerDistanceIsNotAModelFlag) {
+  ArgParser p({"--per-distance", "--nodes", "8"});
+  ExperimentConfig cfg;
+  apply_model_flags(p, cfg);
+  EXPECT_EQ(p.unknown_keys(), (std::vector<std::string>{"per-distance"}));
+}
+
 TEST(ExperimentConfig, BandsPartitionIsRejected) {
   ArgParser p({"--partition", "bands"});
   ExperimentConfig cfg;

@@ -94,110 +94,5 @@ TEST(Oscillator, FactoryProducesEachFamily) {
   EXPECT_LE(sr, 1.01);
 }
 
-TEST(SettableClock, StepJumpsForward) {
-  SettableClock c;
-  c.start(0.0);
-  EXPECT_DOUBLE_EQ(c.value_at(10.0), 10.0);
-  c.step(10.0, 5.0);
-  EXPECT_DOUBLE_EQ(c.value_at(10.0), 15.0);
-  EXPECT_DOUBLE_EQ(c.value_at(12.0), 17.0);
-  EXPECT_EQ(c.steps(), 1u);
-  EXPECT_DOUBLE_EQ(c.total_adjustment(), 5.0);
-  EXPECT_DOUBLE_EQ(c.clamped_adjustment(), 0.0);
-}
-
-TEST(SettableClock, MonotoneClampSuppressesNegativeSteps) {
-  SettableClock c;
-  c.start(0.0);
-  c.step(10.0, -3.0);
-  // The step is recorded but the value must not go backwards.
-  EXPECT_DOUBLE_EQ(c.value_at(10.0), 10.0);
-  EXPECT_DOUBLE_EQ(c.clamped_adjustment(), 3.0);
-  EXPECT_DOUBLE_EQ(c.total_adjustment(), 0.0);
-}
-
-TEST(SettableClock, NonMonotoneModeAllowsNegativeSteps) {
-  SettableClock c(SettableClock::Options{/*enforce_monotone=*/false});
-  c.start(0.0);
-  c.step(10.0, -3.0);
-  EXPECT_DOUBLE_EQ(c.value_at(10.0), 7.0);
-  EXPECT_DOUBLE_EQ(c.total_adjustment(), 3.0);
-  EXPECT_DOUBLE_EQ(c.clamped_adjustment(), 0.0);
-}
-
-TEST(SettableClock, SlewAbsorbsOffsetThenRestoresRate) {
-  SettableClock c;
-  c.start(0.0);
-  // +1.0 at 10% rate surplus: absorbed after 10 real seconds.
-  c.begin_slew(0.0, 1.0, 0.1);
-  EXPECT_TRUE(c.slewing());
-  EXPECT_DOUBLE_EQ(c.slew_end(), 10.0);
-  EXPECT_DOUBLE_EQ(c.value_at(5.0), 5.5);
-  c.poll(10.0);
-  EXPECT_FALSE(c.slewing());
-  EXPECT_DOUBLE_EQ(c.rate(), 1.0);
-  EXPECT_DOUBLE_EQ(c.value_at(10.0), 11.0);
-  EXPECT_DOUBLE_EQ(c.value_at(20.0), 21.0);
-  EXPECT_EQ(c.slews(), 1u);
-}
-
-TEST(SettableClock, NegativeSlewStaysMonotone) {
-  SettableClock c;
-  c.start(0.0);
-  c.begin_slew(0.0, -1.0, 0.5);
-  // Rate 0.5 is still positive: the clock slows but never reverses.
-  // (value_at is only valid at/after the last rate change, so sample the
-  // in-slew segment before polling moves the anchor to slew_end.)
-  double prev = 0.0;
-  for (double t = 0.0; t <= 2.0; t += 0.125) {
-    const double v = c.value_at(t);
-    EXPECT_GE(v, prev);
-    prev = v;
-  }
-  EXPECT_DOUBLE_EQ(c.value_at(1.0), 0.5);
-  EXPECT_DOUBLE_EQ(c.slew_end(), 2.0);
-  c.poll(2.0);
-  EXPECT_DOUBLE_EQ(c.value_at(2.0), 1.0);  // 2.0 real - 1.0 corrected
-  EXPECT_DOUBLE_EQ(c.value_at(4.0), 3.0);
-  for (double t = 2.0; t <= 4.0; t += 0.125) {
-    const double v = c.value_at(t);
-    EXPECT_GE(v, prev);
-    prev = v;
-  }
-}
-
-TEST(SettableClock, LatePollBacksDatesRateRestore) {
-  SettableClock c;
-  c.start(0.0);
-  c.begin_slew(0.0, 1.0, 0.1);
-  // Poll long after the slew finished: the base rate must apply from
-  // slew_end, not from the poll time.
-  c.poll(50.0);
-  EXPECT_DOUBLE_EQ(c.value_at(50.0), 51.0);
-}
-
-TEST(SettableClock, StepCancelsInflightSlew) {
-  SettableClock c;
-  c.start(0.0);
-  c.begin_slew(0.0, 10.0, 0.1);  // would run until t=100
-  c.step(5.0, 2.0);
-  EXPECT_FALSE(c.slewing());
-  // 5.5 accrued during the half-finished slew, +2 step, rate 1 after.
-  EXPECT_DOUBLE_EQ(c.value_at(5.0), 7.5);
-  EXPECT_DOUBLE_EQ(c.value_at(6.0), 8.5);
-}
-
-TEST(SettableClock, SlewComposesWithDriftRate) {
-  SettableClock c;
-  c.start(0.0);
-  c.set_base_rate(0.0, 1.01);  // oscillator runs fast
-  c.begin_slew(0.0, 1.01, 0.1);
-  // Slew rate = 1.01 * 1.1; offset absorbed after 1.01/(1.01*0.1) = 10 s.
-  EXPECT_DOUBLE_EQ(c.slew_end(), 10.0);
-  c.poll(10.0);
-  EXPECT_DOUBLE_EQ(c.rate(), 1.01);
-  EXPECT_NEAR(c.value_at(10.0), 10.0 * 1.01 + 1.01, 1e-12);
-}
-
 }  // namespace
 }  // namespace tbcs::sim

@@ -171,6 +171,7 @@ int main(int argc, char** argv) {
   const std::string record_file = args.get_string("record", "");
   const std::string replay_file = args.get_string("replay", "");
   const bool chart = args.get_bool("chart");
+  const bool per_distance = args.get_bool("per-distance");
   const bool audit_oracle = args.get_bool("audit-oracle");
   const bool stats = args.get_bool("stats");
   const std::string stats_json = args.get_string("stats-json", "");
@@ -250,7 +251,7 @@ int main(int argc, char** argv) {
     // The per-distance profile materializes all-pairs distances (O(n^2)
     // memory); refuse outright where that is gigabytes, instead of
     // thrashing for hours.
-    if (cfg.per_distance && built.graph->num_nodes() > 16384) {
+    if (per_distance && built.graph->num_nodes() > 16384) {
       std::cerr << "error: --per-distance stores all-pairs distances "
                    "(O(n^2)); refusing at n > 16384.  Use the skew "
                    "summary / --series-csv for large runs.\n";
@@ -259,7 +260,7 @@ int main(int argc, char** argv) {
     cli::ExperimentRun run(built, cfg,
                            {.audit_epsilon = cfg.eps,
                             .series = true,
-                            .per_distance = cfg.per_distance,
+                            .per_distance = per_distance,
                             .audit_oracle = audit_oracle});
     run.run();
     const analysis::SkewTracker& tracker = run.tracker();

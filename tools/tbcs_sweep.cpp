@@ -32,7 +32,11 @@ constexpr const char* kUsage = R"(tbcs_sweep — parallel parameter sweeps
 sweep:      --param diameter|nodes|eps|mu|h0|delay|duration
             --values v1,v2,...
             [--param2 <name> --values2 v1,v2,...]    second sweep axis
-            [--replicas R]    R runs per grid point with distinct seeds
+            [--replicas R]    R runs per grid point with distinct seeds;
+                              rows differ only under a seed-driven model
+                              (e.g. --drift walk --delays uniform): the
+                              default square/hiding adversary ignores the
+                              seed and repeats one row R times
 run:        --jobs N          worker threads (default 1; output is
                               byte-identical for every N)
             --shards K        run every simulation on the sharded engine
