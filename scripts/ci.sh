@@ -23,7 +23,8 @@
 #      fault/shard equivalence tests (chaos plans driving scrambles and
 #      Byzantine windows through the concurrent lanes), and the exec
 #      tests (the sweep pool runs the shared run path on worker threads).
-#      These are the only tests with real cross-thread contention.
+#      These are the only tests with real cross-thread contention; the
+#      three equivalence suites run with --gtest_repeat=3.
 #   4. Sharded smoke + perf gate: smoke_shards.sh equivalence gates plus
 #      SMOKE_SHARDS_PERF=1, which fails if --shards 4 runs >10% slower
 #      than --shards 1 on an n=16384 path or an n=16383 tree (the
@@ -97,9 +98,12 @@ cmake --build build-tsan -j "$JOBS" --target \
   test_churn_equivalence test_fault_shard_equivalence test_exec
 build-tsan/tests/test_runtime
 build-tsan/tests/test_runtime_faults
-build-tsan/tests/test_sharded_equivalence
-build-tsan/tests/test_churn_equivalence
-build-tsan/tests/test_fault_shard_equivalence
+# The equivalence suites run three times over: lanes write the shared
+# touch marks and slot arrays concurrently, and a race that one pass
+# misses on a 4-core host can surface on the next.
+build-tsan/tests/test_sharded_equivalence --gtest_repeat=3
+build-tsan/tests/test_churn_equivalence --gtest_repeat=3
+build-tsan/tests/test_fault_shard_equivalence --gtest_repeat=3
 build-tsan/tests/test_exec
 
 echo

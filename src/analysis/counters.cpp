@@ -70,15 +70,22 @@ void write_stats_json(std::ostream& os, const sim::Simulator& sim,
      << ", \"timer_fires\": " << queue.timer_fires
      << ", \"timer_cancels\": " << queue.timer_cancels
      << ", \"cancel_share\": " << queue.cancel_share << "},\n";
-  // Engine shape: requested vs auto-clamped shard count and the partition
-  // strategy.  Deliberately partition-*dependent* — byte-comparison gates
-  // that check shard-count invariance must filter this block out.
+  // Engine shape: requested vs auto-clamped shard count, the partition
+  // strategy and its balance, and the window / observation-barrier
+  // counts.  Deliberately partition-*dependent* — byte-comparison gates
+  // that check shard-count invariance filter this block out by its one
+  // line.
+  const graph::Partition* part = sim.partition();
   os << "  \"engine\": {"
      << "\"shards_requested\": " << sim.shards_requested()
      << ", \"shards_effective\": " << sim.shards()
      << ", \"partition\": \""
      << (sim.shards() > 0 ? sim.partition_strategy() : std::string("serial"))
-     << "\"},\n";
+     << "\", \"imbalance\": "
+     << (part != nullptr ? part->balance().imbalance : 0.0)
+     << ", \"windows\": " << sim.windows()
+     << ", \"observation_barriers\": " << sim.observation_barriers()
+     << "},\n";
   // Queue internals: bucket churn, wheel cascades, reserved capacity.
   // Partition-dependent by nature, so the same byte-comparison gates
   // strip this block too.

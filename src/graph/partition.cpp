@@ -241,16 +241,16 @@ void refine(const LevelGraph& g, std::vector<int>& part, int k) {
 
 /// Exact tree split: iterative DFS from node 0, carving a shard off
 /// whenever an unassigned subtree reaches the running target share
-/// ceil(unassigned / shards_left).  A tree's optimal k-way cut is k - 1
-/// edges and the carve achieves exactly that (each shard is one whole
-/// subtree; the residual around the root is the last shard) — the
-/// generic matching/refinement pipeline lands around 30x that on a
-/// balanced binary tree, and every extra cut edge is horizon pressure
-/// and outbox traffic for the sharded engine.  Returns an empty vector
-/// when the shape makes the carve infeasible (disconnected forest, or a
-/// star-like tree where no proper subtree reaches the share and the
-/// residual could not feed the remaining shards): callers fall back to
-/// the generic pipeline.
+/// floor(unassigned / shards_left), less a slack (below).  A tree's
+/// optimal k-way cut is k - 1 edges and the carve achieves exactly that
+/// (each shard is one whole subtree; the residual around the root is the
+/// last shard) — the generic matching/refinement pipeline lands around
+/// 30x that on a balanced binary tree, and every extra cut edge is
+/// horizon pressure and outbox traffic for the sharded engine.  Returns
+/// an empty vector when the shape makes the carve infeasible
+/// (disconnected forest, or a star-like tree where no proper subtree
+/// reaches the share and the residual could not feed the remaining
+/// shards): callers fall back to the generic pipeline.
 std::vector<int> tree_carve(const Graph& g, int k) {
   const int n = g.num_nodes();
   std::vector<int> parent(static_cast<std::size_t>(n), -1);
@@ -270,6 +270,10 @@ std::vector<int> tree_carve(const Graph& g, int k) {
     }
   }
   if (order.size() != static_cast<std::size_t>(n)) return {};  // forest
+  std::vector<int> children(static_cast<std::size_t>(n), 0);
+  for (int v = 1; v < n; ++v) {
+    ++children[static_cast<std::size_t>(parent[static_cast<std::size_t>(v)])];
+  }
   std::vector<int> part(static_cast<std::size_t>(n), -1);
   std::vector<int> acc(static_cast<std::size_t>(n), 1);  // unassigned in subtree
   int unassigned = n;
@@ -281,9 +285,15 @@ std::vector<int> tree_carve(const Graph& g, int k) {
     // Floor target with a 1/16 slack: subtree spectra often sit just
     // under the exact share (a 2^j - 1 subtree vs a 2^j target), and a
     // slightly small shard beats skipping up to a 2x-overshooting
-    // ancestor.  The residual around the root absorbs the slack.
+    // ancestor.  The residual around the root absorbs the slack.  A
+    // subtree that is its parent's only child takes no slack: deferring
+    // to the parent grows the shard by exactly one node, so chains carve
+    // exact shares, and the slack still applies at the chain's top if the
+    // next step up would overshoot.
     const int target = unassigned / (k - cur);
-    const int threshold = target - target / 16;
+    const bool only_child =
+        v != 0 && children[static_cast<std::size_t>(parent[vi])] == 1;
+    const int threshold = only_child ? target : target - target / 16;
     if (cur < k - 1 && acc[vi] >= threshold &&
         unassigned - acc[vi] >= k - 1 - cur) {
       // Carve subtree(v): its unassigned nodes become shard `cur`.

@@ -244,6 +244,7 @@ void Simulator::setup() {
           "lower-bounded delays); this policy cannot");
     }
     compute_lane_lookahead();
+    touch_marks_.assign(static_cast<std::size_t>(graph_.num_nodes()), 0);
   }
   // Pre-size the per-lane hot structures from the topology so warm-up
   // never pays growth, and calibrate each lane's timer wheel to its
@@ -575,6 +576,7 @@ void Simulator::run_windowed(RealTime t_end) {
         probe_fires || w_end == obs_next_ || w_end == t_end;
     win_end_ = w_end;
     win_inclusive_ = !probe_fires && w_end == t_end;
+    ++windows_;
     run_window_parallel();
     barrier_flush(w_end, probe_fires, obs_fires);
     if (w_end == obs_next_) obs_next_ = kInfinity;
@@ -600,6 +602,7 @@ void Simulator::run_windowed(RealTime t_end) {
 }
 
 void Simulator::process_window(Lane& ln) {
+  const bool track_touches = static_cast<bool>(window_observer_);
   RealTime t = 0.0;
   TimerWheel::Fired tf;
   bool timer_first = false;
@@ -613,6 +616,8 @@ void Simulator::process_window(Lane& ln) {
       // the local endpoint's callback; the primary does all accounting.
       --ln.twins_in_queue;
       apply_link_change(ln, e);
+      assert(part_->shard_of(e.node2) == ln.index && "twin in node2's lane");
+      if (track_touches) touch(ln, e.node2, false);  // the local endpoint
       continue;
     }
     // Wheel fires are not queue traffic: canonical pops count queue events
@@ -624,13 +629,13 @@ void Simulator::process_window(Lane& ln) {
     ln.cur_seq = e.seq;
     ln.cur_sub = 0;
     const bool observable = process(ln, e);
-    if (observable) {
+    if (observable && track_touches) {
       const LastEvent& le = ln.last_event;
-      if (le.node != kInvalidNode) {
-        ln.touched.push_back(WindowTouch{le.node, le.woke});
-      }
-      if (le.node2 != kInvalidNode) {
-        ln.touched.push_back(WindowTouch{le.node2, false});
+      if (le.node != kInvalidNode) touch(ln, le.node, le.woke);
+      // A cut edge's second endpoint lives in another lane; its twin marks
+      // it there.
+      if (le.node2 != kInvalidNode && part_->shard_of(le.node2) == ln.index) {
+        touch(ln, le.node2, false);
       }
     }
   }
@@ -844,39 +849,33 @@ void Simulator::barrier_flush(RealTime w_end, bool probe_fires,
     canon_stats_.peak_size =
         std::max(canon_stats_.peak_size, canonical_pending());
     // 6. Observers, only at observation barriers; plain barriers let the
-    // per-lane touched sets accumulate until the next one.
+    // touch marks accumulate until the next one.
     flush_observers(w_end);
-  } else if (!window_observer_) {
-    for (Lane& ln : lanes_) ln.touched.clear();
   }
   if (progress_interval_ > 0.0) maybe_progress(false);
 }
 
 void Simulator::flush_observers(RealTime t) {
-  // The touched-node union (sorted, deduplicated, wake flags OR-ed) for
-  // window observers, plus the classic per-event observer once per
-  // observation barrier.
+  // The touched-node union (ascending ids, one entry per node, wake flags
+  // OR-ed) for window observers, read off the touch marks in node-id
+  // order; plus the classic per-event observer once per observation
+  // barrier.
+  ++obs_barriers_;
   if (window_observer_) {
-    touched_scratch_.clear();
+    std::size_t remaining = 0;
     for (Lane& ln : lanes_) {
-      touched_scratch_.insert(touched_scratch_.end(), ln.touched.begin(),
-                              ln.touched.end());
-      ln.touched.clear();
+      remaining += ln.touch_count;
+      ln.touch_count = 0;
     }
-    std::sort(touched_scratch_.begin(), touched_scratch_.end(),
-              [](const WindowTouch& a, const WindowTouch& b) {
-                if (a.node != b.node) return a.node < b.node;
-                return a.woke > b.woke;  // woke entries first, kept by unique
-              });
-    touched_scratch_.erase(
-        std::unique(touched_scratch_.begin(), touched_scratch_.end(),
-                    [](const WindowTouch& a, const WindowTouch& b) {
-                      return a.node == b.node;
-                    }),
-        touched_scratch_.end());
-    window_observer_(*this, t, touched_scratch_);
-  } else {
-    for (Lane& ln : lanes_) ln.touched.clear();
+    touched_.clear();
+    for (NodeId v = 0; remaining > 0; ++v) {
+      std::uint8_t& m = touch_marks_[slot(v)];
+      if (m == 0) continue;
+      touched_.push_back(WindowTouch{v, (m & kWokeMark) != 0});
+      m = 0;
+      --remaining;
+    }
+    window_observer_(*this, t, touched_);
   }
   if (observer_) observer_(*this, t);
 }
@@ -1318,7 +1317,7 @@ void Simulator::grow_topology(bool new_edges_up) {
         "constructing the Simulator, or rebalance with repartition()");
   }
   csr_ = graph_.csr();
-  if (csr_->num_nodes() != static_cast<std::size_t>(slot_of_.size())) {
+  if (static_cast<std::size_t>(csr_->num_nodes()) != slot_of_.size()) {
     throw std::logic_error(
         "Simulator::grow_topology: the node universe is fixed at "
         "construction (churn uses presence, not resizing)");

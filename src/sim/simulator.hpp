@@ -319,6 +319,13 @@ class Simulator {
 
   std::uint64_t repartitions() const { return repartitions_; }
 
+  /// Sharded engine: windows run and observation barriers flushed so far
+  /// (0 for the serial engine), reported in the stats "engine" block.
+  /// The window count depends on the partition; the observation-barrier
+  /// count is a pure function of the event set.
+  std::uint64_t windows() const { return windows_; }
+  std::uint64_t observation_barriers() const { return obs_barriers_; }
+
   // ---- inspection (metrics layer; not visible to algorithms) --------------
 
   RealTime now() const { return now_; }
@@ -444,6 +451,9 @@ class Simulator {
   static constexpr std::uint8_t kAwakeBit = 1;
   static constexpr std::uint8_t kCrashedBit = 2;
   static constexpr std::uint8_t kDepartedBit = 4;  // churn: not in the network
+  // touch_marks_ bits.
+  static constexpr std::uint8_t kTouchedMark = 1;
+  static constexpr std::uint8_t kWokeMark = 2;
 
   /// Horizon cut-distance cap (== Lane::bnd array size).
   static constexpr int kMaxCutDist = 4;
@@ -506,7 +516,9 @@ class Simulator {
       bool up = false;
     };
     std::vector<LinkFlip> flips;   // actual state changes, for the barrier
-    std::vector<WindowTouch> touched;  // accumulates until an obs barrier
+    /// Nodes this lane has marked in touch_marks_ since the last
+    /// observation barrier (lets the barrier's walk stop early).
+    std::size_t touch_count = 0;
     std::vector<TraceEntry> trace;
 
     // Cut-aware horizon state.  bnd[d] is a lazy min-heap of queued event
@@ -623,6 +635,12 @@ class Simulator {
   void run_window_parallel();
   void barrier_flush(RealTime w_end, bool probe_fires, bool obs_fires);
   void flush_observers(RealTime t);
+  /// Marks v (a node of `ln`) touched in this observation interval.
+  void touch(Lane& ln, NodeId v, bool woke) {
+    std::uint8_t& m = touch_marks_[slot(v)];
+    if (m == 0) ++ln.touch_count;
+    m |= woke ? (kTouchedMark | kWokeMark) : kTouchedMark;
+  }
   void merge_lane_traces();
   std::size_t canonical_pending() const;
   void start_workers();
@@ -704,7 +722,16 @@ class Simulator {
   int win_done_ = 0;
   bool shutdown_ = false;
   std::exception_ptr win_error_;  // first exception thrown inside a window
-  std::vector<WindowTouch> touched_scratch_;  // barrier merge buffer
+  /// Per-slot touch marks (kTouchedMark | kWokeMark) since the last
+  /// observation barrier, kept only while a window observer listens.  A
+  /// lane writes only its own slot range — the second endpoint of a cut
+  /// edge is marked by the twin event in that endpoint's lane — and the
+  /// coordinator turns the marks into the sorted touched list with one
+  /// walk in node-id order, clearing them as it goes.
+  std::vector<std::uint8_t> touch_marks_;
+  std::vector<WindowTouch> touched_;  // the list handed to the observer
+  std::uint64_t windows_ = 0;
+  std::uint64_t obs_barriers_ = 0;
 
   // Progress heartbeat.
   double progress_interval_ = 0.0;

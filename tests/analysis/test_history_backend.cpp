@@ -17,6 +17,7 @@
 #include "obs/flight_recorder.hpp"
 #include "sim/recorder.hpp"
 #include "sim/simulator.hpp"
+#include "support/temp_file.hpp"
 
 namespace tbcs {
 namespace {
@@ -183,10 +184,9 @@ TEST(HistoryBackend, StairWithinBoundUnderFaults) {
   // Drift spike + lossy/duplicating channel window.  The spiked rate
   // stays inside [1 - eps, 1 + eps] so the advertised error bound (which
   // is derived from eps) remains valid.
-  const std::string plan_path =
-      testing::TempDir() + "/history_backend_plan.txt";
+  const testing_support::TempFile plan("history_backend_plan.txt");
   {
-    std::ofstream os(plan_path);
+    std::ofstream os(plan.path());
     os << "drift node=2 at=10 rate=1.015 for=15\n"
        << "channel from=20 until=60 drop=0.2 dup=0.1\n";
   }
@@ -194,7 +194,7 @@ TEST(HistoryBackend, StairWithinBoundUnderFaults) {
   cfg.topology = "grid";
   cfg.rows = 4;
   cfg.cols = 4;
-  cfg.faults_file = plan_path;
+  cfg.faults_file = plan.path();
   const Outcome exact = run_case(cfg, "exact", 0);
   const Outcome stair = run_case(cfg, "stair", 0);
   expect_within_bound(exact, stair, "faults");

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -8,6 +12,7 @@
 #include "analysis/trace.hpp"
 #include "cli/args.hpp"
 #include "cli/experiment_config.hpp"
+#include "support/temp_file.hpp"
 
 namespace tbcs::cli {
 namespace {
@@ -354,6 +359,48 @@ TEST(Trace, SnapshotCsvHasOneRowPerNode) {
   analysis::write_snapshot_csv(os, *built.simulator);
   const std::string csv = os.str();
   EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 6);  // header + 5
+}
+
+// ---- tbcs_sim exit codes ---------------------------------------------------
+
+struct ToolRun {
+  int exit_code = -1;
+  std::string err;
+};
+
+ToolRun run_tbcs_sim(const std::string& flags) {
+  const testing_support::TempFile err("tbcs_sim_stderr.txt");
+  const std::string cmd = std::string(TBCS_SIM_BIN) + " " + flags +
+                          " > /dev/null 2> " + err.path();
+  const int status = std::system(cmd.c_str());
+  ToolRun r;
+  if (WIFEXITED(status)) r.exit_code = WEXITSTATUS(status);
+  std::ifstream is(err.path());
+  r.err.assign(std::istreambuf_iterator<char>(is),
+               std::istreambuf_iterator<char>());
+  return r;
+}
+
+// The per-distance profile is tracked only under --per-distance, so
+// --profile-csv alone would write a header-only file and exit 0; it is a
+// usage error instead.
+TEST(TbcsSim, ProfileCsvWithoutPerDistanceIsAUsageError) {
+  const testing_support::TempFile csv("tbcs_sim_profile.csv");
+  const std::string run = "--topology ring --nodes 8 --duration 20";
+  const ToolRun bad = run_tbcs_sim(run + " --profile-csv " + csv.path());
+  EXPECT_EQ(bad.exit_code, 2);
+  EXPECT_NE(bad.err.find("--profile-csv"), std::string::npos) << bad.err;
+  EXPECT_NE(bad.err.find("--per-distance"), std::string::npos) << bad.err;
+  EXPECT_FALSE(std::ifstream(csv.path()).good()) << "no file on a usage error";
+
+  const ToolRun good =
+      run_tbcs_sim(run + " --per-distance --profile-csv " + csv.path());
+  EXPECT_EQ(good.exit_code, 0) << good.err;
+  std::ifstream is(csv.path());
+  std::string header, row;
+  ASSERT_TRUE(std::getline(is, header));
+  EXPECT_EQ(header, "distance,max_skew");
+  EXPECT_TRUE(std::getline(is, row)) << "profile has no rows";
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <string>
 
@@ -16,6 +15,7 @@
 #include "cli/experiment_config.hpp"
 #include "cli/experiment_run.hpp"
 #include "exec/sweep_runner.hpp"
+#include "support/temp_file.hpp"
 
 namespace tbcs {
 namespace {
@@ -86,9 +86,9 @@ cli::ExperimentConfig churned_torus() {
 }
 
 TEST(ExperimentRun, SweepRowEqualsRunUnderFaultPlan) {
-  const std::string plan = testing::TempDir() + "/experiment_run_plan.txt";
+  const testing_support::TempFile plan("experiment_run_plan.txt");
   {
-    std::ofstream os(plan);
+    std::ofstream os(plan.path());
     os << "byzantine node=1 from=0 until=40 mode=fixed offset=500\n"
           "crash node=6 at=15\n"
           "recover node=6 at=30\n"
@@ -102,7 +102,7 @@ TEST(ExperimentRun, SweepRowEqualsRunUnderFaultPlan) {
   cfg.drift = "square";
   cfg.delays = "band";
   cfg.duration = 120.0;
-  cfg.faults_file = plan;
+  cfg.faults_file = plan.path();
   expect_row_matches_run(cfg, 3);
 
   // The fault scheduler paced the run and applied the whole plan.
@@ -113,7 +113,6 @@ TEST(ExperimentRun, SweepRowEqualsRunUnderFaultPlan) {
   EXPECT_EQ(run.faults()->applied(), built.timeline.events.size());
   EXPECT_EQ(run.churn_driver(), nullptr);
   EXPECT_EQ(built.simulator->scrambles(), 1u);
-  std::remove(plan.c_str());
 }
 
 TEST(ExperimentRun, SweepRowEqualsRunUnderChurn) {

@@ -9,7 +9,6 @@
 // report, so a Byzantine wake-flood cannot seed arbitrary state.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -23,6 +22,7 @@
 #include "fault/fault_scheduler.hpp"
 #include "graph/topologies.hpp"
 #include "sim/simulator.hpp"
+#include "support/temp_file.hpp"
 
 namespace tbcs::core {
 namespace {
@@ -75,16 +75,16 @@ TEST(FtGcs, ReducesToAoptWithDefensesOff) {
 // crash/recovery, a scramble): the defense hooks sit on the exact paths
 // the faults exercise.
 TEST(FtGcs, ReducesToAoptUnderFaultsToo) {
-  const std::string path = testing::TempDir() + "/tbcs_ftgcs_reduction.txt";
+  const testing_support::TempFile plan("tbcs_ftgcs_reduction.txt");
   {
-    std::ofstream os(path);
+    std::ofstream os(plan.path());
     os << "byzantine node=1 from=10 until=40 mode=fixed offset=25\n"
           "crash node=5 at=20\n"
           "recover node=5 at=35\n"
           "scramble node=3 at=50 magnitude=4\n";
   }
   cli::ExperimentConfig aopt = base_config();
-  aopt.faults_file = path;
+  aopt.faults_file = plan.path();
   cli::ExperimentConfig ft = aopt;
   ft.algorithm = "ftgcs";
   ft.ftgcs_f = 0;
@@ -95,7 +95,6 @@ TEST(FtGcs, ReducesToAoptUnderFaultsToo) {
   for (std::size_t v = 0; v < a.size(); ++v) {
     EXPECT_DOUBLE_EQ(a[v], b[v]) << "node " << v;
   }
-  std::remove(path.c_str());
 }
 
 struct FtFixture {

@@ -7,7 +7,6 @@
 // and engine-independent.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -19,6 +18,7 @@
 #include "fault/fault_scheduler.hpp"
 #include "graph/topologies.hpp"
 #include "sim/simulator.hpp"
+#include "support/temp_file.hpp"
 
 namespace tbcs::dyn {
 namespace {
@@ -107,9 +107,9 @@ TEST(FaultsChurn, ChannelWindowCoversInsertedEdge) {
 // a channel window, a scramble) in the same ftgcs run — deterministic
 // and byte-identical between the serial and sharded engines.
 TEST(FaultsChurn, ChurnedChaosRunIsEngineIndependent) {
-  const std::string plan = testing::TempDir() + "/tbcs_churn_chaos.txt";
+  const testing_support::TempFile plan("tbcs_churn_chaos.txt");
   {
-    std::ofstream os(plan);
+    std::ofstream os(plan.path());
     os << "byzantine node=1 from=0 until=80 mode=fixed offset=200\n"
           "channel from=40 until=70 drop=0.2 jitter=0.3\n"
           "scramble node=7 at=100 magnitude=4\n";
@@ -132,7 +132,7 @@ TEST(FaultsChurn, ChurnedChaosRunIsEngineIndependent) {
   cfg.churn_extra_edges = 0.2;
   cfg.churn_start = 5.0;
   cfg.churn_stop = 120.0;
-  cfg.faults_file = plan;
+  cfg.faults_file = plan.path();
 
   struct Out {
     std::vector<double> logical;
@@ -180,7 +180,6 @@ TEST(FaultsChurn, ChurnedChaosRunIsEngineIndependent) {
     EXPECT_EQ(serial.scrambles, sharded.scrambles);
     EXPECT_EQ(serial.applied, sharded.applied);
   }
-  std::remove(plan.c_str());
 }
 
 }  // namespace

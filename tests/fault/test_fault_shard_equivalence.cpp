@@ -12,13 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "cli/experiment_config.hpp"
 #include "cli/experiment_run.hpp"
+#include "support/temp_file.hpp"
 
 namespace tbcs {
 namespace {
@@ -35,8 +35,7 @@ struct FaultMetrics {
   std::uint64_t events = 0;
 };
 
-std::string write_plan() {
-  const std::string path = testing::TempDir() + "/tbcs_chaos_plan.txt";
+void write_plan(const std::string& path) {
   std::ofstream os(path);
   // Mixed chaos on a 5-dim hypercube: two Byzantine liars (one up, one
   // down, both lying from first contact), a crash/recovery, a drift
@@ -50,7 +49,6 @@ std::string write_plan() {
         "channel from=70 until=95 drop=0.15 jitter=0.3\n"
         "scramble node=12 at=150 magnitude=6\n"
         "scramble node=21 at=150 magnitude=6\n";
-  return path;
 }
 
 cli::ExperimentConfig chaos_config(const std::string& plan) {
@@ -115,8 +113,9 @@ void expect_same_fault_metrics(const FaultMetrics& a, const FaultMetrics& b) {
 }
 
 TEST(FaultShardEquivalence, ChaosMetricsMatchSerialAtEveryShardCount) {
-  const std::string plan = write_plan();
-  const cli::ExperimentConfig cfg = chaos_config(plan);
+  const testing_support::TempFile plan("tbcs_chaos_plan.txt");
+  write_plan(plan.path());
+  const cli::ExperimentConfig cfg = chaos_config(plan.path());
   const FaultMetrics serial = run_case(cfg, 0);
   // The plan really ran: all 12 events applied, both scrambles seen, and
   // the scramble probe produced a finite self-stabilization time.
@@ -139,11 +138,6 @@ TEST(FaultShardEquivalence, ChaosMetricsMatchSerialAtEveryShardCount) {
     EXPECT_DOUBLE_EQ(sharded[0].local_skew, sharded[i].local_skew);
     expect_same_fault_metrics(sharded[0], sharded[i]);
   }
-}
-
-TEST(FaultShardEquivalence, CleanupPlanFile) {
-  std::remove((testing::TempDir() + "/tbcs_chaos_plan.txt").c_str());
-  SUCCEED();
 }
 
 }  // namespace

@@ -201,5 +201,24 @@ TEST(Partition, MultilevelCutsOptimalOnTrees) {
   EXPECT_EQ(p.cut_edges().size(), 3u);
 }
 
+// A path is a tree whose every subtree is a chain: deferring a carve to
+// the parent grows the shard by one node, so the carve must hit the exact
+// share instead of undershooting by its binary-tree slack and piling the
+// remainder onto the residual shard around the root.
+TEST(Partition, TreeCarveBalancesChains) {
+  for (const NodeId n : {1000, 1000000}) {
+    const Graph g = make_path(n);
+    for (const int k : {2, 3, 4, 8}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " k=" << k);
+      const Partition p = Partition::multilevel(g, k);
+      ASSERT_NO_THROW(p.validate(g));
+      EXPECT_EQ(p.cut_edges().size(), static_cast<std::size_t>(k - 1));
+      const Partition::BalanceStats b = p.balance();
+      EXPECT_LE(b.max_members - b.min_members, 1u)
+          << "min " << b.min_members << " max " << b.max_members;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tbcs::graph

@@ -10,7 +10,6 @@
 // or something downstream of it, changed.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -23,6 +22,7 @@
 #include "sim/recorder.hpp"
 #include "sim/simulator.hpp"
 #include "support/run_digest.hpp"
+#include "support/temp_file.hpp"
 
 namespace tbcs {
 namespace {
@@ -136,7 +136,8 @@ INSTANTIATE_TEST_SUITE_P(Topologies, QueueDifferential,
 // Crash/recovery + link flaps + a lossy channel window: cancels, twin link
 // events, and suppressed timers all go through the queue.
 TEST(QueueDifferentialFaults, FaultPlanMatchesAcrossImpls) {
-  const std::string path = testing::TempDir() + "/tbcs_queue_diff_plan.txt";
+  const testing_support::TempFile plan("tbcs_queue_diff_plan.txt");
+  const std::string& path = plan.path();
   for (const char* topology : {"path", "tree"}) {
     cli::ExperimentConfig cfg = base_config(topology);
     cfg.faults_file = path;
@@ -156,7 +157,6 @@ TEST(QueueDifferentialFaults, FaultPlanMatchesAcrossImpls) {
       expect_heap_digest(std::string("faults-") + topology, shards, run);
     }
   }
-  std::remove(path.c_str());
 }
 
 // The canonicalized execution record replays the heap's byte for byte,

@@ -12,11 +12,12 @@
 // match exactly (every logical event is counted once on both engines).
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <algorithm>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/skew_tracker.hpp"
@@ -29,6 +30,7 @@
 #include "sim/delay_policy.hpp"
 #include "sim/recorder.hpp"
 #include "sim/simulator.hpp"
+#include "support/temp_file.hpp"
 
 namespace tbcs {
 namespace {
@@ -190,7 +192,8 @@ INSTANTIATE_TEST_SUITE_P(Topologies, ShardedEquivalence,
 // Crash/recovery faults hit cut edges with twin link events; the sharded
 // run must still replay the serial execution exactly, counters included.
 TEST(ShardedEquivalenceFaults, FaultPlanMatchesSerial) {
-  const std::string path = testing::TempDir() + "/tbcs_equiv_plan.txt";
+  const testing_support::TempFile plan("tbcs_equiv_plan.txt");
+  const std::string& path = plan.path();
   for (const char* topology : {"path", "er"}) {
     SCOPED_TRACE(topology);
     cli::ExperimentConfig cfg = base_config(topology, 24);
@@ -215,7 +218,6 @@ TEST(ShardedEquivalenceFaults, FaultPlanMatchesSerial) {
       expect_equivalent(serial, run_case(cfg, shards));
     }
   }
-  std::remove(path.c_str());
 }
 
 // Record on one engine, replay on the other: the execution log is
@@ -260,7 +262,8 @@ TEST(ShardedEquivalenceRecord, RecordReplayRoundTripsAcrossEngines) {
 // path, so the equivalence suite exercises it with active liars — the
 // rejections and trim votes must replay identically on every engine.
 TEST(ShardedEquivalenceAlgos, FtGcsUnderLiarsMatchesSerial) {
-  const std::string path = testing::TempDir() + "/tbcs_equiv_ftgcs_plan.txt";
+  const testing_support::TempFile plan("tbcs_equiv_ftgcs_plan.txt");
+  const std::string& path = plan.path();
   {
     std::ofstream os(path);
     os << "byzantine node=3 from=0 until=80 mode=fixed offset=500\n"
@@ -279,7 +282,6 @@ TEST(ShardedEquivalenceAlgos, FtGcsUnderLiarsMatchesSerial) {
       expect_equivalent(serial, run_case(cfg, shards));
     }
   }
-  std::remove(path.c_str());
 }
 
 TEST(ShardedEquivalenceAudit, AuditOracleAcceptsShardedRuns) {
@@ -347,6 +349,136 @@ TEST(ShardedEquivalenceFaults, ChannelClampsDeliveriesToCertifiedMinDelay) {
     for (const sim::PlannedDelivery& pd : out) {
       EXPECT_GE(pd.at, send + channel.min_delay(0, 1))
           << "send at " << send << ": delivery below the certified bound";
+    }
+  }
+}
+
+// ---- the touched-set contract -------------------------------------------
+//
+// At every observation barrier a window observer gets the nodes whose
+// state changed since the previous barrier: ascending ids, one entry per
+// node, `woke` set when any of its events initialized it.  The list is a
+// pure function of the event set, so it must be the same at every shard
+// count and equal to the list rebuilt from the serial engine's per-event
+// stream by sorting, deduplicating and OR-ing the wake flags.
+
+using TouchList = std::vector<std::pair<sim::NodeId, bool>>;
+struct BarrierTouch {
+  double t = 0.0;
+  TouchList touched;
+};
+
+// A flood start on the path, a crash/recovery of node 6 (its link to node
+// 5 crosses shards at --shards 4) and two flips of the link {11, 12}
+// (which crosses shards at --shards 2 and 4): primary and twin link events
+// in different lanes, wakes, and nodes leaving and re-entering the set.
+cli::ExperimentConfig touch_contract_config() {
+  cli::ExperimentConfig cfg = base_config("path", 24);
+  cfg.wake_all = false;
+  return cfg;
+}
+
+void schedule_touch_contract_faults(sim::Simulator& sim) {
+  sim.schedule_crash(6, 20.0);
+  sim.schedule_recovery(6, 45.0);
+  sim.schedule_link_change(11, 12, false, 30.0);
+  sim.schedule_link_change(11, 12, true, 60.0);
+}
+
+std::vector<BarrierTouch> window_touch_lists(int shards) {
+  cli::ExperimentConfig cfg = touch_contract_config();
+  cfg.shards = shards;
+  auto built = cli::build_experiment(cfg);
+  sim::Simulator& sim = *built.simulator;
+  if (shards >= 2) {
+    const graph::Partition& part = *sim.partition();
+    EXPECT_NE(part.shard_of(11), part.shard_of(12)) << "{11, 12} not cut";
+  }
+  std::vector<BarrierTouch> out;
+  sim.set_window_observer(
+      [&out](const sim::Simulator&, sim::RealTime t,
+             const std::vector<sim::Simulator::WindowTouch>& touched) {
+        BarrierTouch b;
+        b.t = t;
+        for (const auto& w : touched) b.touched.emplace_back(w.node, w.woke);
+        out.push_back(std::move(b));
+      });
+  schedule_touch_contract_faults(sim);
+  sim.run_until(cfg.duration);
+  return out;
+}
+
+// The serial engine's observable events, grouped at the given barrier
+// times: a barrier at t closes the half-open window before it, and the
+// last barrier (the run horizon) also takes the events at exactly t.
+std::vector<TouchList> serial_touch_lists(const std::vector<double>& barriers) {
+  const cli::ExperimentConfig cfg = touch_contract_config();
+  auto built = cli::build_experiment(cfg);
+  sim::Simulator& sim = *built.simulator;
+  struct Touch {
+    double t;
+    sim::NodeId node;
+    bool woke;
+  };
+  std::vector<Touch> stream;
+  sim.set_observer([&stream](const sim::Simulator& s, sim::RealTime t) {
+    const sim::Simulator::LastEvent& le = s.last_event();
+    if (le.node != sim::kInvalidNode) stream.push_back({t, le.node, le.woke});
+    if (le.node2 != sim::kInvalidNode) stream.push_back({t, le.node2, false});
+  });
+  schedule_touch_contract_faults(sim);
+  sim.run_until(cfg.duration);
+
+  std::vector<TouchList> lists;
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < barriers.size(); ++i) {
+    const bool last = i + 1 == barriers.size();
+    std::vector<std::pair<sim::NodeId, bool>> raw;
+    while (next < stream.size() &&
+           (last || stream[next].t < barriers[i])) {
+      raw.emplace_back(stream[next].node, stream[next].woke);
+      ++next;
+    }
+    // Woke entries first within a node, so unique keeps the OR.
+    std::sort(raw.begin(), raw.end(), [](const auto& a, const auto& b) {
+      return a.first != b.first ? a.first < b.first : a.second > b.second;
+    });
+    raw.erase(std::unique(raw.begin(), raw.end(),
+                          [](const auto& a, const auto& b) {
+                            return a.first == b.first;
+                          }),
+              raw.end());
+    lists.push_back(std::move(raw));
+  }
+  EXPECT_EQ(next, stream.size()) << "serial events after the last barrier";
+  return lists;
+}
+
+TEST(ShardedTouchContract, BarrierListsMatchAcrossShardCountsAndSerial) {
+  const std::vector<BarrierTouch> one = window_touch_lists(1);
+  ASSERT_GT(one.size(), 10u);
+  std::vector<double> times;
+  bool saw_wake = false;
+  for (const BarrierTouch& b : one) {
+    times.push_back(b.t);
+    for (const auto& w : b.touched) saw_wake |= w.second;
+  }
+  EXPECT_TRUE(saw_wake) << "the flood start must report woken nodes";
+
+  const std::vector<TouchList> reference = serial_touch_lists(times);
+  ASSERT_EQ(reference.size(), one.size());
+  for (std::size_t i = 0; i < one.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "barrier " << i << " t=" << one[i].t);
+    EXPECT_EQ(one[i].touched, reference[i]);
+  }
+  for (const int shards : {2, 4}) {
+    SCOPED_TRACE(testing::Message() << "shards=" << shards);
+    const std::vector<BarrierTouch> lists = window_touch_lists(shards);
+    ASSERT_EQ(lists.size(), one.size());
+    for (std::size_t i = 0; i < lists.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "barrier " << i);
+      EXPECT_EQ(lists[i].t, one[i].t);
+      EXPECT_EQ(lists[i].touched, one[i].touched);
     }
   }
 }

@@ -117,6 +117,7 @@ run:        --duration T --seed S --wake-all --per-distance
                                (default 5): wall time, sim time, events/s,
                                queue depth, current shard horizon
 output:     --series-csv FILE --profile-csv FILE --snapshot-csv FILE
+                               (--profile-csv needs --per-distance)
 record:     --record FILE      save this execution (rates + delays)
             --replay FILE      re-run a saved execution (overrides the
                                adversary flags; topology/algo must match)
@@ -192,6 +193,12 @@ int main(int argc, char** argv) {
   }
   if (!args.ok()) {
     for (const auto& e : args.errors()) std::cerr << "error: " << e << "\n";
+    return 2;
+  }
+  if (!profile_csv.empty() && !per_distance) {
+    std::cerr << "error: --profile-csv writes the per-distance skew profile, "
+                 "which is tracked only with --per-distance; add "
+                 "--per-distance or drop --profile-csv\n";
     return 2;
   }
 
