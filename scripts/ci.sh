@@ -6,9 +6,10 @@
 #   2. Sanitizer smoke: rebuild the simulator tool, the trace tool, the
 #      runtime tests, and the obs tests with ASan+UBSan
 #      (-DTBCS_SANITIZE=address,undefined) and run them.  The threaded
-#      runtime and the sharded metrics registry are the pieces most at
-#      risk of memory/lifetime bugs, so they get sanitizer coverage even
-#      in a quick pass.  The skew tracker, stabilization probe and
+#      runtime is the piece most at risk of memory/lifetime bugs, so it
+#      gets sanitizer coverage even in a quick pass.  A churned tbcs_sim
+#      --stats run under a fault plan with a channel window covers the
+#      run report behind the "churn" and "fault" stats blocks.  The skew tracker, stabilization probe and
 #      history-backend tests cover both sampling semantics (exact and
 #      grid) in both engines.  A faulty sweep on 4 workers (tbcs_sweep --jobs 4
 #      --faults) runs the shared run path (cli::ExperimentRun) under ASan
@@ -35,7 +36,7 @@
 #      through a churned sweep.
 #   6. Fault-tolerant GCS smoke: smoke_ftgcs.sh — a Byzantine chaos plan
 #      through --algo ftgcs must be byte-identical serial vs --shards
-#      {1,2,4}, report engine-independent fault.* metrics, stabilize in
+#      {1,2,4}, report an engine-independent "fault" block, stabilize in
 #      finite time from a scramble, and sweep --jobs 1 == 4.
 #   7. Telemetry-backend smoke: smoke_obs.sh — the stair history backend
 #      must stay within its advertised error bound of exact, perturb the
@@ -65,7 +66,7 @@ echo
 echo "=== sanitizer smoke: ASan+UBSan (jobs=$JOBS) ==="
 cmake -B build-asan -S . -DTBCS_SANITIZE=address,undefined > /dev/null
 cmake --build build-asan -j "$JOBS" --target \
-  tbcs_sim_tool tbcs_sweep tbcs_trace test_runtime test_obs test_metrics \
+  tbcs_sim_tool tbcs_sweep tbcs_trace test_runtime test_obs \
   test_trace_tools test_skew_incremental test_stabilization_probe \
   test_history_backend
 
@@ -82,9 +83,14 @@ printf '%s\n' "crash node=3 at=10" "recover node=3 at=20" \
 build-asan/tools/tbcs_sweep --topology ring --nodes 16 --algo ftgcs \
   --delays band --param eps --values 0.01,0.02 --replicas 4 --duration 40 \
   --jobs 4 --faults "$SAN_TMP/plan.txt" > /dev/null
+build-asan/tools/tbcs_sim --topology torus --rows 6 --cols 6 --algo ftgcs \
+  --delays band --duration 60 --churn-node-rate 0.01 --churn-edge-rate 0.01 \
+  --churn-extra-edges 0.2 --faults "$SAN_TMP/plan.txt" --stats \
+  > "$SAN_TMP/report.out"
+grep -q '^  "churn": {' "$SAN_TMP/report.out"
+grep -q '^  "fault": {.*"channel_dropped"' "$SAN_TMP/report.out"
 build-asan/tests/test_runtime
 build-asan/tests/test_obs
-build-asan/tests/test_metrics
 build-asan/tests/test_trace_tools
 build-asan/tests/test_skew_incremental
 build-asan/tests/test_stabilization_probe

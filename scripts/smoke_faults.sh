@@ -3,13 +3,16 @@
 #
 #   1. tbcs_sim --faults runs a mixed plan (crash/recover, flap, drift
 #      spike, lossy channel) to quiescence; the summary must report the
-#      fault tally and the --stats JSON must carry the fault counters;
+#      fault tally and the --stats JSON must carry the "fault" block;
 #   2. determinism: the same seed + plan rerun must produce a
 #      byte-identical flight-recorder dump (tbcs_trace --diff exit 0),
 #      and a different fault seed must diverge;
 #   3. tbcs_trace --summary must list the injected fault records;
 #   4. tbcs_sweep --faults must emit the recovery metric columns and be
-#      byte-identical between --jobs 1 and --jobs 4.
+#      byte-identical between --jobs 1 and --jobs 4;
+#   5. every sweep row replayed through tbcs_sim --stats must report the
+#      row's faults_applied / crashes / recoveries / recovery_time in the
+#      stats JSON's "fault" block.
 #
 # Usage: smoke_faults.sh /path/to/tbcs_sim /path/to/tbcs_trace /path/to/tbcs_sweep
 set -euo pipefail
@@ -43,8 +46,9 @@ run_sim 11 5 "$TMPDIR_SMOKE/same.bin" "$TMPDIR_SMOKE/same.out"
 run_sim 11 6 "$TMPDIR_SMOKE/other.bin" "$TMPDIR_SMOKE/other.out"
 
 grep -q "faults applied" "$TMPDIR_SMOKE/a.out"
-grep -q '"fault.events_applied"' "$TMPDIR_SMOKE/a.out"
-grep -q '"fault.recovery_time"' "$TMPDIR_SMOKE/a.out"
+grep '^  "fault": {' "$TMPDIR_SMOKE/a.out" > "$TMPDIR_SMOKE/a.fault"
+grep -q '"events_applied": ' "$TMPDIR_SMOKE/a.fault"
+grep -q '"recovery_time": ' "$TMPDIR_SMOKE/a.fault"
 
 # Same seed + same plan => byte-identical stats output (modulo the trace
 # path each run embeds in its own --stats JSON).
@@ -82,4 +86,30 @@ case "$header" in
      exit 1 ;;
 esac
 
-echo "smoke_faults: OK (deterministic faulty runs, trace diff, sweep columns)"
+# Sweep <-> sim fault parity: every row of a --jobs 4 JSON sweep replays
+# through tbcs_sim with the row's seed (the fault seed defaults to it in
+# both tools), and the row's fault metrics must equal the "fault" block of
+# --stats.  The sweep's JSON prints 12 significant digits, so the block's
+# value is compared at that precision.
+"$SWEEP_BIN" "${SWEEP_ARGS[@]}" --jobs 4 --format json > "$TMPDIR_SMOKE/sweep.json"
+python3 - "$SIM_BIN" "$PLAN" "$TMPDIR_SMOKE/sweep.json" <<'EOF'
+import json, subprocess, sys
+sim_bin, plan, sweep_json = sys.argv[1:]
+rows = json.load(open(sweep_json))
+assert len(rows) == 4, f"expected 4 sweep rows, got {len(rows)}"
+pairs = [("faults_applied", "events_applied"), ("crashes", "crashes"),
+         ("recoveries", "recoveries"), ("recovery_time", "recovery_time")]
+for row in rows:
+    out = subprocess.run(
+        [sim_bin, "--topology", "ring", "--nodes", "8", "--duration", "80",
+         "--drift", "square", "--delays", "hiding", "--eps",
+         row["eps"], "--seed", str(row["seed"]), "--faults", plan,
+         "--stats"], check=True, capture_output=True, text=True).stdout
+    fault = json.loads(out[out.index("\n{\n") + 1:])["fault"]
+    for col, key in pairs:
+        if row["metrics"][col] != float("%.12g" % fault[key]):
+            sys.exit(f"FAIL: seed {row['seed']}: sweep {col}="
+                     f"{row['metrics'][col]}, tbcs_sim fault.{key}={fault[key]}")
+EOF
+
+echo "smoke_faults: OK (deterministic faulty runs, trace diff, sweep columns, sweep == sim fault block per row)"

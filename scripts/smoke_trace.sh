@@ -33,8 +33,9 @@ import json, sys
 text = open(sys.argv[1]).read()
 start = text.index("\n{\n") + 1
 doc = json.loads(text[start:])
-for key in ("communication", "queue", "metrics", "trace"):
+for key in ("communication", "queue", "engine", "trace"):
     assert key in doc, f"--stats JSON missing {key!r}"
+assert "metrics" not in doc, "--stats JSON still carries a \"metrics\" block"
 assert doc["communication"]["events"] > 0, "no events processed"
 assert doc["trace"]["total_recorded"] > 0, "trace recorded nothing"
 print(f"--stats JSON OK ({doc['communication']['events']} events,"

@@ -1,11 +1,25 @@
 #include "analysis/counters.hpp"
 
 #include <cmath>
+#include <cstdio>
 #include <ostream>
 
 #include "obs/flight_recorder.hpp"
 
 namespace tbcs::analysis {
+
+namespace {
+
+// Full round-trip precision, so a time in the "fault" block reads back as
+// the exact double the probe measured; null when not finite.
+std::string json_number(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+}  // namespace
 
 CommunicationReport CommunicationReport::capture(const sim::Simulator& sim) {
   CommunicationReport r;
@@ -49,7 +63,7 @@ QueueReport QueueReport::capture(const sim::Simulator& sim) {
 }
 
 void write_stats_json(std::ostream& os, const sim::Simulator& sim,
-                      const obs::MetricsRegistry::Snapshot* metrics,
+                      const RunReport* report,
                       const obs::FlightRecorder* recorder,
                       const ObsBackendReport* obs) {
   const CommunicationReport comm = CommunicationReport::capture(sim);
@@ -122,13 +136,34 @@ void write_stats_json(std::ostream& os, const sim::Simulator& sim,
     }
     os << "},\n";
   }
-  os << "  \"metrics\": ";
-  if (metrics != nullptr) {
-    write_metrics_json(os, *metrics);
-  } else {
-    os << "null";
+  if (report != nullptr && report->churn) {
+    os << "  \"churn\": {"
+       << "\"joins\": " << report->joins
+       << ", \"leaves\": " << report->leaves
+       << ", \"ops_scheduled\": " << report->ops_scheduled
+       << ", \"edge_insertions\": " << report->edge_insertions
+       << ", \"edges_stabilized\": " << report->edges_stabilized << "},\n";
   }
-  os << ",\n  \"trace\": ";
+  if (report != nullptr && report->faults) {
+    os << "  \"fault\": {"
+       << "\"events_applied\": " << report->faults_applied
+       << ", \"crashes\": " << report->crashes
+       << ", \"recoveries\": " << report->recoveries
+       << ", \"last_fault_time\": " << json_number(report->last_fault_time)
+       << ", \"recovery_time\": " << json_number(report->recovery_time);
+    if (report->scrambles > 0) {
+      os << ", \"scrambles\": " << report->scrambles
+         << ", \"stabilization_time\": "
+         << json_number(report->stabilization_time);
+    }
+    if (report->channel) {
+      os << ", \"channel_dropped\": " << report->channel_dropped
+         << ", \"channel_duplicated\": " << report->channel_duplicated
+         << ", \"channel_corrupted\": " << report->channel_corrupted;
+    }
+    os << "},\n";
+  }
+  os << "  \"trace\": ";
   if (recorder != nullptr) {
     os << "{\"compiled\": " << (obs::kTraceCompiled ? "true" : "false")
        << ", \"capacity\": " << recorder->capacity()

@@ -3,9 +3,9 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <string>
 
-#include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 
 namespace tbcs::obs {
@@ -66,16 +66,45 @@ struct ObsBackendReport {
   double coarsest_window_span = 0.0;  // widest merged window (time units)
 };
 
+/// The run's deterministic churn and fault figures: the "churn" and
+/// "fault" stats blocks and the sweep's fault columns.  Every field is
+/// engine-invariant (identical across --shards / --jobs); the churn
+/// repartition count is placement-dependent and stays out.  A recovery or
+/// stabilization that never happened is coded -1, so a CSV column stays
+/// numeric.
+struct RunReport {
+  bool churn = false;  // churn was on: the churn figures are meaningful
+  std::uint64_t joins = 0;
+  std::uint64_t leaves = 0;
+  std::uint64_t ops_scheduled = 0;
+  std::uint64_t edge_insertions = 0;   // stabilization-probe insertions
+  std::uint64_t edges_stabilized = 0;  // ... back within the probe bound
+
+  bool faults = false;  // a fault plan ran: the fault figures are meaningful
+  std::uint64_t faults_applied = 0;
+  std::uint64_t crashes = 0;
+  std::uint64_t recoveries = 0;
+  double last_fault_time = std::numeric_limits<double>::quiet_NaN();
+  double recovery_time = -1.0;
+  std::uint64_t scrambles = 0;          // stabilization_time only when > 0
+  double stabilization_time = -1.0;
+  bool channel = false;  // channel-fault windows were installed
+  std::uint64_t channel_dropped = 0;
+  std::uint64_t channel_duplicated = 0;
+  std::uint64_t channel_corrupted = 0;
+};
+
 /// One JSON object combining the communication report, the queue report,
-/// and (when given) a metrics-registry snapshot, flight-recorder trace
-/// info, and the telemetry-backend report — what `tbcs_sim --stats`
-/// prints on exit:
+/// and (when given) the churn/fault report, flight-recorder trace info,
+/// and the telemetry-backend report — what `tbcs_sim --stats` prints on
+/// exit:
 ///   {"communication": {...}, "queue": {...}, "engine": {...},
-///    "queue_impl": {...}, "obs": {...}?,
-///    "metrics": {...} | null, "trace": {...} | null}
-/// The "obs" block is present only when `obs` is non-null.
+///    "queue_impl": {...}, "obs": {...}?, "churn": {...}?,
+///    "fault": {...}?, "trace": {...} | null}
+/// "obs" is present only when `obs` is non-null; "churn" and "fault" only
+/// when `report` is non-null and that feature was on.
 void write_stats_json(std::ostream& os, const sim::Simulator& sim,
-                      const obs::MetricsRegistry::Snapshot* metrics = nullptr,
+                      const RunReport* report = nullptr,
                       const obs::FlightRecorder* recorder = nullptr,
                       const ObsBackendReport* obs = nullptr);
 

@@ -1,5 +1,7 @@
 #include "cli/experiment_config.hpp"
 
+#include <cmath>
+#include <cstdio>
 #include <memory>
 #include <vector>
 
@@ -296,7 +298,26 @@ std::unique_ptr<sim::Node> build_node(const ExperimentConfig& cfg,
 
 }  // namespace
 
+void check_run_shape(const ExperimentConfig& cfg) {
+  if (!(cfg.duration > 0.0) || !std::isfinite(cfg.duration)) {
+    char got[32];
+    std::snprintf(got, sizeof got, "%g", cfg.duration);
+    throw ConfigError(
+        std::string("--duration must be a positive finite number, got ") +
+        got);
+  }
+  if (cfg.shards < 0) {
+    throw ConfigError("--shards must be >= 0 (0 = serial engine), got " +
+                      std::to_string(cfg.shards));
+  }
+  if (cfg.min_shard_nodes < 0) {
+    throw ConfigError("--shards-min-nodes must be >= 0 (0 = no clamp), got " +
+                      std::to_string(cfg.min_shard_nodes));
+  }
+}
+
 BuiltExperiment build_experiment(const ExperimentConfig& cfg) {
+  check_run_shape(cfg);
   // Checked even when serial, so a bad name never passes silently.
   if (!graph::Partition::known_strategy(cfg.partition)) {
     throw ConfigError("unknown --partition: " + cfg.partition +

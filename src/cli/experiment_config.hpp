@@ -163,6 +163,12 @@ class ArgParser;
 /// cannot drift apart.
 void apply_model_flags(ArgParser& args, ExperimentConfig& cfg);
 
+/// Throws ConfigError on a run-shape value no run can use: a duration
+/// that is not positive and finite, or a negative --shards /
+/// --shards-min-nodes.  build_experiment calls it; tbcs_sweep also calls
+/// it on every grid point before running any.
+void check_run_shape(const ExperimentConfig& cfg);
+
 /// Builds topology, parameters, simulator, nodes, and policies.
 BuiltExperiment build_experiment(const ExperimentConfig& cfg);
 

@@ -1,5 +1,7 @@
 #include "cli/experiment_run.hpp"
 
+#include <cmath>
+
 namespace tbcs::cli {
 
 ExperimentRun::ExperimentRun(BuiltExperiment& built,
@@ -83,6 +85,36 @@ void ExperimentRun::run() {
     driver_->run(cfg_.duration);
   } else {
     sim.run_until(cfg_.duration);
+  }
+
+  analysis::RunReport& r = report_;
+  if (!built_.churn.empty()) {
+    r.churn = true;
+    r.joins = sim.joins();
+    r.leaves = sim.leaves();
+    r.ops_scheduled = built_.churn.ops.size();
+    r.edge_insertions = probe_->insertions();
+    r.edges_stabilized = probe_->stabilized();
+  }
+  if (faults_) {
+    // -1 = never re-entered the bounds (NaN would poison CSV parsing).
+    const auto or_never = [](double t) { return std::isnan(t) ? -1.0 : t; };
+    r.faults = true;
+    r.faults_applied = faults_->applied();
+    r.crashes = sim.crashes();
+    r.recoveries = sim.recoveries();
+    r.last_fault_time = tracker_->last_fault_time();
+    r.recovery_time = or_never(tracker_->recovery_time());
+    r.scrambles = sim.scrambles();
+    if (r.scrambles > 0) {
+      r.stabilization_time = or_never(tracker_->stabilization_time());
+    }
+    if (const fault::ChannelFaultPolicy* ch = built_.channel.get()) {
+      r.channel = true;
+      r.channel_dropped = ch->dropped();
+      r.channel_duplicated = ch->duplicated();
+      r.channel_corrupted = ch->corrupted();
+    }
   }
 }
 

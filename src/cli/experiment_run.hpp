@@ -5,11 +5,13 @@
 // runs, the per-inserted-edge stabilization probe) from the config and
 // attaches them.  run() paces the simulator to cfg.duration: the fault
 // scheduler under a fault plan (its listener anchors the recovery probe),
-// else the churn driver under churn, else plain run_until.
+// else the churn driver under churn, else plain run_until, and then fills
+// the run's churn/fault report.
 #pragma once
 
 #include <memory>
 
+#include "analysis/counters.hpp"
 #include "analysis/skew_tracker.hpp"
 #include "cli/experiment_config.hpp"
 #include "dyn/churn_driver.hpp"
@@ -33,7 +35,7 @@ class ExperimentRun {
   ExperimentRun(BuiltExperiment& built, const ExperimentConfig& cfg,
                 Options opt);
 
-  /// Runs the simulator to cfg.duration.
+  /// Runs the simulator to cfg.duration, then fills report().
   void run();
 
   /// Exact up to n = 65,536, the two-sweep estimate above.
@@ -50,6 +52,8 @@ class ExperimentRun {
   const dyn::StabilizationProbe* probe() const { return probe_.get(); }
   const fault::FaultScheduler* faults() const { return faults_.get(); }
   const dyn::ChurnDriver* churn_driver() const { return driver_.get(); }
+  /// The churn and fault figures of the finished run (empty before run()).
+  const analysis::RunReport& report() const { return report_; }
 
  private:
   BuiltExperiment& built_;
@@ -62,6 +66,7 @@ class ExperimentRun {
   std::unique_ptr<dyn::StabilizationProbe> probe_;
   std::unique_ptr<fault::FaultScheduler> faults_;
   std::unique_ptr<dyn::ChurnDriver> driver_;
+  analysis::RunReport report_;
 };
 
 }  // namespace tbcs::cli

@@ -3,11 +3,8 @@
 #include <cstdio>
 #include <sstream>
 
-#include <cmath>
-
 #include "cli/experiment_run.hpp"
 #include "exec/thread_pool.hpp"
-#include "obs/metrics.hpp"
 
 namespace tbcs::exec {
 
@@ -18,20 +15,6 @@ std::vector<RunResult> SweepRunner::run(
   pool.parallel_for(specs.size(), [this, &specs, &out](std::size_t i) {
     out[i] = run_one(specs[i], i, opt_);
   });
-  // Registry timelines for stair sweeps: per-run skew rollups through the
-  // bounded backend.  Recorded serially AFTER the parallel loop, in index
-  // order, so the stores' contents (a pure function of the append
-  // sequence) are byte-identical at every --jobs setting.
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (!out[i].ok) continue;
-    const obs::HistoryConfig hcfg = cli::resolve_history(specs[i].config);
-    if (hcfg.backend != obs::HistoryConfig::Backend::kStair) continue;
-    auto& reg = obs::MetricsRegistry::global();
-    if (!reg.timelines_enabled()) reg.enable_timelines(hcfg);
-    const double t = static_cast<double>(i);
-    reg.record_timeline("sweep.global_skew", t, out[i].global_skew);
-    reg.record_timeline("sweep.local_skew", t, out[i].local_skew);
-  }
   return out;
 }
 
@@ -84,37 +67,23 @@ RunResult SweepRunner::run_one(const RunSpec& spec, std::size_t index,
           static_cast<double>(tracker.global_history().windows().size() +
                               tracker.local_history().windows().size()));
     }
-    if (const fault::FaultScheduler* faults = run.faults()) {
-      const double rec = tracker.recovery_time();
+    if (const analysis::RunReport& rep = run.report(); rep.faults) {
       r.metrics.emplace_back("faults_applied",
-                             static_cast<double>(faults->applied()));
-      r.metrics.emplace_back("crashes", static_cast<double>(sim.crashes()));
+                             static_cast<double>(rep.faults_applied));
+      r.metrics.emplace_back("crashes", static_cast<double>(rep.crashes));
       r.metrics.emplace_back("recoveries",
-                             static_cast<double>(sim.recoveries()));
-      // -1 = never re-entered the bounds (NaN would poison CSV parsing).
-      r.metrics.emplace_back("recovery_time", std::isnan(rec) ? -1.0 : rec);
-      if (sim.scrambles() > 0) {
-        const double stab = tracker.stabilization_time();
+                             static_cast<double>(rep.recoveries));
+      r.metrics.emplace_back("recovery_time", rep.recovery_time);
+      if (rep.scrambles > 0) {
         r.metrics.emplace_back("scrambles",
-                               static_cast<double>(sim.scrambles()));
-        r.metrics.emplace_back("stabilization_time",
-                               std::isnan(stab) ? -1.0 : stab);
+                               static_cast<double>(rep.scrambles));
+        r.metrics.emplace_back("stabilization_time", rep.stabilization_time);
       }
     }
     r.ok = true;
-
-    // Process-wide rollups: worker threads write their own registry
-    // shards, so these cost nothing to the parallelism of the sweep.
-    auto& reg = obs::MetricsRegistry::global();
-    reg.counter("sweep.runs_ok").inc();
-    reg.counter("sweep.events").inc(sim.events_processed());
-    reg.counter("sweep.messages").inc(sim.messages_delivered());
-    reg.histogram("sweep.global_skew").observe(r.global_skew);
-    reg.histogram("sweep.local_skew").observe(r.local_skew);
   } catch (const std::exception& e) {
     r.ok = false;
     r.error = e.what();
-    obs::MetricsRegistry::global().counter("sweep.runs_failed").inc();
   }
   return r;
 }

@@ -2,9 +2,9 @@
 // streams.
 //
 // Every unbounded history consumer in the tree (the skew tracker's time
-// series, the churn stabilization probe, sweep timelines, trace-rate
-// summaries) records through this interface so the memory/fidelity
-// trade-off is one switch instead of per-consumer hacks:
+// series, the churn stabilization probe, trace-rate summaries) records
+// through this interface so the memory/fidelity trade-off is one switch
+// instead of per-consumer hacks:
 //
 //  * ExactHistoryStore — keeps every appended point.  Bit-identical to
 //    the pre-backend behavior; memory grows linearly with the stream.

@@ -1,11 +1,10 @@
-// Shared power-of-two bucket math for lossy value summaries.
+// Power-of-two bucket math for lossy value summaries.
 //
-// One bucketing scheme serves both the MetricsRegistry histograms and the
-// HistoryStore quantile sketches: bucket 0 collects everything that is not
-// a positive finite value, bucket b >= 1 covers (2^(b-18), 2^(b-17)].
-// Any estimate read back from a bucket is therefore within a factor of
-// two of the true positive value — the error bound both consumers
-// advertise.
+// The HistoryStore quantile sketches bucket values this way: bucket 0
+// collects everything that is not a positive finite value, bucket b >= 1
+// covers (2^(b-18), 2^(b-17)].  Any estimate read back from a bucket is
+// therefore within a factor of two of the true positive value — the
+// error bound the stores advertise.
 #pragma once
 
 #include <algorithm>

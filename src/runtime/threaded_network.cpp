@@ -5,8 +5,6 @@
 #include <cmath>
 #include <limits>
 
-#include "obs/metrics.hpp"
-
 namespace tbcs::runtime {
 
 ThreadedNetwork::ThreadedNetwork(const graph::Graph& g, Config cfg)
@@ -64,7 +62,6 @@ std::size_t ThreadedNetwork::stop() {
     if (!host) continue;
     if (host->join_until(deadline)) continue;
     ++wedged;
-    obs::MetricsRegistry::global().counter("runtime.stop_wedged").inc();
     host->detach();
     // The detached thread may still touch the host (it holds mu_ inside a
     // callback), so the host object must outlive the process: park it in
@@ -79,11 +76,6 @@ std::size_t ThreadedNetwork::stop() {
 }
 
 void ThreadedNetwork::route_broadcast(sim::NodeId from, const sim::Message& m) {
-  // Registered once per calling thread (registration is idempotent); the
-  // increment itself is shard-local and lock-free.
-  thread_local obs::Counter routed =
-      obs::MetricsRegistry::global().counter("runtime.broadcasts_routed");
-  routed.inc();
   const auto now = VirtualClock::SteadyClock::now();
   if (partitioned_[static_cast<std::size_t>(from)].load(
           std::memory_order_relaxed)) {

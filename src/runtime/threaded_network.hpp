@@ -56,8 +56,8 @@ class ThreadedNetwork {
   /// Requests shutdown and joins all threads, each within a shared
   /// Config::stop_timeout_ms deadline.  A thread that misses it (wedged
   /// inside a callback) is detached and its host leaked — freeing memory
-  /// a live thread still references would be worse — and counted both in
-  /// the return value and the "runtime.stop_wedged" metric.
+  /// a live thread still references would be worse — and counted in the
+  /// return value.
   std::size_t stop();
 
   /// Routes a broadcast from `from` to all its neighbors with injected

@@ -12,12 +12,7 @@ ThreadedNodeHost::ThreadedNodeHost(ThreadedNetwork& net, sim::NodeId id,
     : net_(net),
       id_(id),
       algorithm_(std::move(algorithm)),
-      clock_(clock_rate),
-      metric_delivered_(
-          obs::MetricsRegistry::global().counter("runtime.messages_delivered")),
-      metric_timers_(
-          obs::MetricsRegistry::global().counter("runtime.timers_fired")),
-      metric_wakes_(obs::MetricsRegistry::global().counter("runtime.wakes")) {}
+      clock_(clock_rate) {}
 
 ThreadedNodeHost::~ThreadedNodeHost() {
   request_stop();
@@ -125,7 +120,6 @@ void ThreadedNodeHost::thread_main(bool spontaneous_wake) {
     if (spontaneous_wake) {
       clock_.start();
       awake_ = true;
-      metric_wakes_.inc();
       algorithm_->on_wake(*this, nullptr);
       flush_outbox(lock);
     }
@@ -155,12 +149,10 @@ void ThreadedNodeHost::thread_main(bool spontaneous_wake) {
       if (!inbox_.empty() && inbox_.top().at <= now) {
         const sim::Message m = inbox_.top().msg;
         inbox_.pop();
-        metric_delivered_.inc();
         if (!awake_) {
           clock_.start();
           awake_ = true;
-          metric_wakes_.inc();
-          algorithm_->on_wake(*this, &m);
+              algorithm_->on_wake(*this, &m);
         } else {
           algorithm_->on_message(*this, m);
         }
@@ -175,7 +167,6 @@ void ThreadedNodeHost::thread_main(bool spontaneous_wake) {
           Timer& t = timers_[slot];
           if (t.armed && t.target <= h_now) {
             t.armed = false;
-            metric_timers_.inc();
             algorithm_->on_timer(*this, slot);
             flush_outbox(lock);
             break;  // re-evaluate deadlines after each callback

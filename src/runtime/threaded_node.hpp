@@ -15,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "runtime/virtual_time.hpp"
 #include "sim/node.hpp"
 
@@ -92,13 +91,6 @@ class ThreadedNodeHost final : public sim::NodeServices {
   sim::NodeId id_;
   std::unique_ptr<sim::Node> algorithm_;
   VirtualClock clock_;
-
-  // Runtime observability: process-wide counters, incremented from this
-  // node's thread (each thread writes its own registry shard, so the hot
-  // dispatch loop never contends on them).
-  obs::Counter metric_delivered_;
-  obs::Counter metric_timers_;
-  obs::Counter metric_wakes_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -4,8 +4,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/skew_tracker.hpp"
@@ -322,6 +324,32 @@ TEST(ExperimentConfig, AllDriftAndDelayModelsRun) {
   }
 }
 
+// A run shape no run can use is a ConfigError from the shared build path,
+// not a run with -inf skews (negative duration) or a silent serial
+// fallback (negative shard count).
+TEST(ExperimentConfig, UnusableRunShapeIsRejected) {
+  const auto rejected = [](auto&& mutate, const char* flag) {
+    ExperimentConfig cfg;
+    cfg.topology = "path";
+    cfg.nodes = 6;
+    mutate(cfg);
+    try {
+      build_experiment(cfg);
+      ADD_FAILURE() << flag << " accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const double d : {0.0, -5.0, std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    rejected([d](ExperimentConfig& c) { c.duration = d; }, "--duration");
+  }
+  rejected([](ExperimentConfig& c) { c.shards = -2; }, "--shards");
+  rejected([](ExperimentConfig& c) { c.min_shard_nodes = -1; },
+           "--shards-min-nodes");
+}
+
 // ---- CSV trace ------------------------------------------------------------------
 
 TEST(Trace, CsvEscaping) {
@@ -401,6 +429,32 @@ TEST(TbcsSim, ProfileCsvWithoutPerDistanceIsAUsageError) {
   ASSERT_TRUE(std::getline(is, header));
   EXPECT_EQ(header, "distance,max_skew");
   EXPECT_TRUE(std::getline(is, row)) << "profile has no rows";
+}
+
+TEST(TbcsSim, UnusableDurationIsAnError) {
+  const ToolRun r = run_tbcs_sim("--topology ring --nodes 8 --duration -5");
+  EXPECT_NE(r.exit_code, 0);
+  EXPECT_NE(r.err.find("--duration must be a positive finite number"),
+            std::string::npos)
+      << r.err;
+}
+
+// Out-of-range recorder and heartbeat values used to fall back silently
+// to the defaults (65536 records, every record, 5 s).
+TEST(TbcsSim, BadTraceAndProgressValuesAreUsageErrors) {
+  const std::string run = "--topology ring --nodes 8 --duration 20 ";
+  for (const auto& [flags, flag] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"--trace-capacity 0", "--trace-capacity"},
+           {"--trace-sample -3", "--trace-sample"},
+           {"--progress=abc", "--progress"},
+           {"--progress=0", "--progress"},
+           {"--progress=-1", "--progress"}}) {
+    const ToolRun r = run_tbcs_sim(run + flags);
+    EXPECT_EQ(r.exit_code, 2) << flags;
+    EXPECT_NE(r.err.find(flag), std::string::npos) << flags << ": " << r.err;
+  }
+  EXPECT_EQ(run_tbcs_sim(run + "--progress=30").exit_code, 0);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// fault.* metrics must be engine-independent: the same mixed chaos plan
+// Fault figures must be engine-independent: the same mixed chaos plan
 // (Byzantine windows, a drift spike, a lossy channel, crash/recovery and
 // a scramble) produces bitwise-identical skew maxima, recovery time and
 // stabilization time on the serial engine and at every shard count.
@@ -90,7 +90,7 @@ FaultMetrics run_case(cli::ExperimentConfig cfg, int shards) {
   return m;
 }
 
-// fault.* metrics are classified on the probe grid, so they must match
+// Fault figures are classified on the probe grid, so they must match
 // the serial run bitwise (NaN == NaN: both "never recovered" is a match;
 // serial recovering while sharded did not is the bug under test).  The
 // running skew *maxima* are deliberately excluded from the serial

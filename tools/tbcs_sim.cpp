@@ -21,7 +21,6 @@
 #include "cli/experiment_config.hpp"
 #include "cli/experiment_run.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/metrics.hpp"
 #include "sim/recorder.hpp"
 
 namespace {
@@ -133,8 +132,9 @@ observe:    --obs-backend B    telemetry history backend: exact (default;
                                and the stair figures themselves are
                                identical across --shards
             --obs-memory-kb N  per-stream stair memory budget (default 64)
-            --stats            print communication/queue/obs/metrics/trace
-                               counters as one JSON object on exit
+            --stats            print communication/queue/engine/obs/churn/
+                               fault/trace figures as one JSON object on
+                               exit (docs/OBSERVABILITY.md)
             --stats-json FILE  write the same JSON object to FILE (the
                                sharded-equivalence smoke test diffs these)
             --trace FILE       attach a flight recorder and save the binary
@@ -180,11 +180,18 @@ int main(int argc, char** argv) {
   const int trace_capacity = args.get_int("trace-capacity", 1 << 16);
   const int trace_sample = args.get_int("trace-sample", 1);
   double progress_secs = 0.0;
+  bool progress_ok = true;
   if (args.has("progress")) {
     // Bare --progress means "the default cadence"; --progress=SECS tunes it.
     const std::string p = args.get_string("progress", "");
-    progress_secs = (p.empty() || p == "true") ? 5.0 : std::strtod(p.c_str(), nullptr);
-    if (progress_secs <= 0.0) progress_secs = 5.0;
+    if (p.empty() || p == "true") {
+      progress_secs = 5.0;
+    } else {
+      char* end = nullptr;
+      progress_secs = std::strtod(p.c_str(), &end);
+      progress_ok = *end == '\0' && progress_secs > 0.0 &&
+                    std::isfinite(progress_secs);
+    }
   }
 
   for (const auto& key : args.unknown_keys()) {
@@ -193,6 +200,23 @@ int main(int argc, char** argv) {
   }
   if (!args.ok()) {
     for (const auto& e : args.errors()) std::cerr << "error: " << e << "\n";
+    return 2;
+  }
+  if (trace_capacity <= 0) {
+    std::cerr << "error: --trace-capacity must be >= 1 record, got "
+              << trace_capacity << "\n";
+    return 2;
+  }
+  if (trace_sample <= 0) {
+    std::cerr << "error: --trace-sample must be >= 1 (1 = keep every "
+                 "record), got "
+              << trace_sample << "\n";
+    return 2;
+  }
+  if (!progress_ok) {
+    std::cerr << "error: --progress=SECS needs a positive number of "
+                 "seconds, got '"
+              << args.get_string("progress", "") << "'\n";
     return 2;
   }
   if (!profile_csv.empty() && !per_distance) {
@@ -241,9 +265,8 @@ int main(int argc, char** argv) {
 
     obs::FlightRecorder recorder([&] {
       obs::FlightRecorder::Options ropt;
-      ropt.capacity = trace_capacity > 0 ? static_cast<std::size_t>(trace_capacity)
-                                         : std::size_t{1} << 16;
-      ropt.sample_every = trace_sample > 0 ? static_cast<std::uint64_t>(trace_sample) : 1;
+      ropt.capacity = static_cast<std::size_t>(trace_capacity);
+      ropt.sample_every = static_cast<std::uint64_t>(trace_sample);
       return ropt;
     }());
     if (!trace_file.empty()) {
@@ -351,46 +374,6 @@ int main(int argc, char** argv) {
     }
     summary.print(std::cout);
 
-    // Surface the simulator drop/fault counters in the metrics registry so
-    // --stats JSON (and anything else reading the global snapshot) sees
-    // them alongside the runtime/sweep counters.
-    {
-      auto& reg = obs::MetricsRegistry::global();
-      reg.counter("sim.messages_dropped").inc(sim.messages_dropped());
-      reg.counter("sim.timer_cancels").inc(sim.timer_cancels());
-      if (!built.churn.empty()) {
-        // Canonical (shard-count-invariant) churn figures only; the
-        // repartition count is placement-dependent and stays out of the
-        // byte-compared stats JSON.
-        reg.counter("churn.joins").inc(sim.joins());
-        reg.counter("churn.leaves").inc(sim.leaves());
-        reg.counter("churn.ops_scheduled").inc(built.churn.ops.size());
-        if (probe) {
-          reg.counter("churn.edge_insertions").inc(probe->insertions());
-          reg.counter("churn.edges_stabilized").inc(probe->stabilized());
-        }
-      }
-      if (const fault::FaultScheduler* faults = run.faults()) {
-        reg.counter("fault.events_applied").inc(faults->applied());
-        reg.counter("fault.crashes").inc(sim.crashes());
-        reg.counter("fault.recoveries").inc(sim.recoveries());
-        const double rec = tracker.recovery_time();
-        reg.gauge("fault.last_fault_time").set(tracker.last_fault_time());
-        reg.gauge("fault.recovery_time").set(std::isnan(rec) ? -1.0 : rec);
-        if (sim.scrambles() > 0) {
-          const double stab = tracker.stabilization_time();
-          reg.counter("fault.scrambles").inc(sim.scrambles());
-          reg.gauge("fault.stabilization_time")
-              .set(std::isnan(stab) ? -1.0 : stab);
-        }
-        if (built.channel) {
-          reg.counter("fault.channel_dropped").inc(built.channel->dropped());
-          reg.counter("fault.channel_duplicated").inc(built.channel->duplicated());
-          reg.counter("fault.channel_corrupted").inc(built.channel->corrupted());
-        }
-      }
-    }
-
     if (chart) {
       analysis::ChartOptions copt;
       for (const bool local : {false, true}) {
@@ -445,10 +428,10 @@ int main(int argc, char** argv) {
               obs_report.coarsest_window_span, s->coarsest_window_span());
         }
       }
-      const auto snap = obs::MetricsRegistry::global().snapshot();
       obs::FlightRecorder* rec = trace_file.empty() ? nullptr : &recorder;
       if (stats) {
-        analysis::write_stats_json(std::cout, sim, &snap, rec, &obs_report);
+        analysis::write_stats_json(std::cout, sim, &run.report(), rec,
+                                   &obs_report);
       }
       if (!stats_json.empty()) {
         std::ofstream os(stats_json);
@@ -456,7 +439,7 @@ int main(int argc, char** argv) {
           std::cerr << "error: cannot open " << stats_json << " for writing\n";
           return 1;
         }
-        analysis::write_stats_json(os, sim, &snap, rec, &obs_report);
+        analysis::write_stats_json(os, sim, &run.report(), rec, &obs_report);
         std::cout << "wrote " << stats_json << "\n";
       }
     }

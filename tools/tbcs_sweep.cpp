@@ -51,10 +51,10 @@ observe:    --obs-backend exact|stair --obs-memory-kb N
                               telemetry history backend per run (see
                               tbcs_sim --help).  stair adds the metric
                               columns skew_error_bound /
-                              obs_history_bytes / obs_history_windows and
-                              per-sweep registry timelines; exact-mode
-                              output bytes are unchanged.  Results stay
-                              byte-identical for every --jobs/--shards
+                              obs_history_bytes / obs_history_windows;
+                              exact-mode output bytes are unchanged.
+                              Results stay byte-identical for every
+                              --jobs/--shards
 faults:     --faults FILE --fault-seed S    fault plan applied to every run
                               (adds faults_applied / crashes / recoveries /
                               recovery_time — and, with scramble directives,
@@ -129,21 +129,17 @@ int main(int argc, char** argv) {
     std::cerr << "error: --format must be csv or json\n";
     return 2;
   }
-  try {  // reject unknown sweep parameters as usage errors, before running
-    cli::ExperimentConfig probe = base;
-    exec::apply_sweep_param(probe, axis1.param, axis1.values.front());
-    if (!axis2.param.empty()) {
-      exec::apply_sweep_param(probe, axis2.param, axis2.values.front());
-    }
+  std::vector<exec::RunSpec> specs;
+  try {  // unknown sweep parameters and unusable values are usage errors
+    specs = exec::make_grid_specs(
+        base, axis1, axis2.param.empty() ? nullptr : &axis2, replicas);
+    for (const exec::RunSpec& spec : specs) cli::check_run_shape(spec.config);
   } catch (const cli::ConfigError& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
   }
 
   try {
-    const std::vector<exec::RunSpec> specs = exec::make_grid_specs(
-        base, axis1, axis2.param.empty() ? nullptr : &axis2, replicas);
-
     exec::SweepOptions sopt;
     sopt.jobs = jobs;
     sopt.base_seed = base.seed;
